@@ -21,8 +21,9 @@ bench:
 
 # tiny-parameter smoke run of the move-evaluation, core-perf,
 # runtime-overhead, batch-kernel, parallel, service, migration,
-# topology and routing benches (used by CI): exercises both pricing
-# code paths, the compiled-vs-legacy parity check, the legacy-loop
+# topology and routing benches (used by CI): exercises the batch-sweep
+# hill climber against its frozen full-evaluation copy, the
+# compiled-vs-legacy parity check, the legacy-loop
 # parity of the search runtime, the batch-vs-scalar parity of the
 # vectorized kernel, the 2-worker process pool (islands/portfolio +
 # workers=1 identity), the transition-aware-vs-blind drift replay, the

@@ -1,11 +1,14 @@
-"""Benchmark: incremental move pricing vs full re-evaluation.
+"""Benchmark: move pricing vs full re-evaluation.
 
-The hill climber scans ``M x (N - 1)`` candidate moves per round; with
-full evaluation each candidate costs a complete cost-model sweep, while
-:class:`~repro.core.incremental.MoveEvaluator` prices it from the dirty
-region alone. This bench times both code paths of the *same* algorithm
-on the reference 20-operation x 10-server instance, checks they return
-the identical deployment, and records the speedup.
+The hill climber scans ``M x (N - 1)`` candidate moves per round. With
+full evaluation each candidate costs a complete cost-model sweep (the
+retired sweep, frozen in ``_retired.py``); the production
+:class:`~repro.algorithms.local_search.HillClimbing` prices the whole
+grid in one batch-kernel call. This bench times both climbs on the
+reference 20-operation x 10-server instance, checks they return the
+identical deployment, and records the speedup. A second bench times
+single-move pricing: :class:`~repro.core.incremental.MoveEvaluator`
+prices a move from the dirty region alone.
 
 The asserted floor defaults to 2x -- conservative enough to pass on
 modest shared CI hardware -- and is env-tunable via
@@ -34,6 +37,7 @@ from repro.workloads.generator import (
 )
 
 from _common import emit, perf_floor, write_json
+from _retired import FullEvaluationHillClimbing
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -54,9 +58,9 @@ def instance():
     return workflow, network, CostModel(workflow, network)
 
 
-def _run_hill_climbing(instance, use_incremental):
+def _run_hill_climbing(instance, algorithm_class):
     workflow, network, model = instance
-    algorithm = HillClimbing(use_incremental=use_incremental)
+    algorithm = algorithm_class()
     return algorithm.deploy(
         workflow, network, cost_model=model, rng=random.Random(23)
     )
@@ -73,22 +77,22 @@ def _best_time(fn, repeats=REPEATS):
 
 
 def bench_hill_climbing_speedup(benchmark, instance):
-    """Same seeded search, incremental vs full pricing."""
+    """Same seeded search, batch-kernel sweep vs full pricing."""
     t_full, full_result = _best_time(
-        lambda: _run_hill_climbing(instance, use_incremental=False)
+        lambda: _run_hill_climbing(instance, FullEvaluationHillClimbing)
     )
-    t_incremental, incremental_result = _best_time(
-        lambda: _run_hill_climbing(instance, use_incremental=True)
+    t_batch, batch_result = _best_time(
+        lambda: _run_hill_climbing(instance, HillClimbing)
     )
-    # the rewiring is purely a pricing change: identical deployments out
-    assert incremental_result.as_dict() == full_result.as_dict()
-    speedup = t_full / t_incremental if t_incremental > 0 else float("inf")
+    # the sweep is purely a pricing change: identical deployments out
+    assert batch_result.as_dict() == full_result.as_dict()
+    speedup = t_full / t_batch if t_batch > 0 else float("inf")
     emit(
         "move_eval_speedup",
         f"instance: {NUM_OPERATIONS} operations x {NUM_SERVERS} servers"
         + (" (smoke)" if SMOKE else ""),
         f"hill climbing, full evaluation:  {t_full * 1e3:10.3f} ms",
-        f"hill climbing, incremental:      {t_incremental * 1e3:10.3f} ms",
+        f"hill climbing, batch sweep:      {t_batch * 1e3:10.3f} ms",
         f"speedup: {speedup:.1f}x (floor on the full instance: "
         f"{SPEEDUP_FLOOR}x)",
     )
@@ -99,14 +103,14 @@ def bench_hill_climbing_speedup(benchmark, instance):
             "operations": NUM_OPERATIONS,
             "servers": NUM_SERVERS,
             "full_s": t_full,
-            "incremental_s": t_incremental,
+            "batch_s": t_batch,
             "speedup": speedup,
             "floor": SPEEDUP_FLOOR,
         },
     )
     if not SMOKE:
         assert speedup >= SPEEDUP_FLOOR
-    benchmark(_run_hill_climbing, instance, True)
+    benchmark(_run_hill_climbing, instance, HillClimbing)
 
 
 def bench_propose_vs_full_evaluation(benchmark, instance):

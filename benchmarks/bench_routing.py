@@ -13,8 +13,9 @@ Two experiments over the routing layer (see DESIGN.md §15):
   via ``BENCH_FLOOR_ROUTING``).
 
 * **invalidation** -- replaying the seeded ``abilene`` scenario under
-  the ``scoped`` versus the ``lazy`` route-invalidation mode and
-  summing the router's Dijkstra runs across the link events
+  the production ``scoped`` route invalidation versus the retired
+  ``lazy`` mode (drop every route cache and refill on demand, frozen
+  here) and summing the router's Dijkstra runs across the link events
   (brownouts/failures). Scoped invalidation recomputes only the pairs
   whose classification paths crossed a changed link, so it must spend
   at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer runs per link
@@ -29,7 +30,7 @@ wall-clock floor.
 
 import os
 import time
-from dataclasses import replace
+from functools import partial
 
 from repro.core.clock import StepClock
 from repro.network.routing import Router
@@ -180,13 +181,23 @@ def bench_routing_compile(benchmark):
 LINK_EVENTS = ("link-failed", "link-degraded")
 
 
+def _invalidate_lazy(state, *_args, **_kwargs):
+    """The retired ``lazy`` mode of ``FleetState._invalidate_routes``."""
+    state.epoch += 1
+    state._router.clear_cache()
+    for model in state._cost_models.values():
+        model.compiled.reset_routes()
+
+
 def _replay_counting(mode: str):
     """Replay abilene under *mode*; per-link-event Dijkstra-run deltas."""
     scenario = build_scenario(SCENARIO, seed=SEED)
-    config = replace(scenario.config, route_invalidation=mode)
     controller = FleetController(
-        scenario.network, config=config, clock=StepClock()
+        scenario.network, config=scenario.config, clock=StepClock()
     )
+    if mode == "lazy":
+        state = controller.state
+        state._invalidate_routes = partial(_invalidate_lazy, state)
     link_runs = 0
     link_events = 0
     for event in scenario.events:

@@ -11,13 +11,17 @@ server -- over the cost model's scalar objective:
   geometric cooling schedule; escapes the local optima hill climbing gets
   stuck in, at the price of more evaluations.
 
-Candidate moves are priced through the
-:class:`~repro.core.incremental.MoveEvaluator`, so one proposal costs a
-dirty-region forward pass instead of a full ``CostModel.objective()``;
-``use_incremental=False`` selects the original full-evaluation path
-(kept as the reference implementation -- the regression tests assert
-both return byte-identical deployments for a fixed seed, and the
-benchmarks measure the speedup between them).
+Each algorithm prices moves the way its access pattern asks for:
+
+* hill climbing scores the whole single-move grid of every round in one
+  :class:`~repro.core.batch.BatchEvaluator` kernel call. The kernel
+  replicates the scalar cost model's floats and the scan order, so a
+  seeded climb follows exactly the trajectory of pricing every candidate
+  with a full ``CostModel.objective()`` (the test suite pins this
+  against a frozen full-evaluation oracle);
+* simulated annealing proposes one move at a time through the
+  :class:`~repro.core.incremental.MoveEvaluator`, so one proposal costs
+  a dirty-region forward pass instead of a full evaluation.
 
 Both are expressed as step generators driven by the shared
 :class:`~repro.algorithms.runtime.SearchRuntime`: one hill-climbing
@@ -42,7 +46,6 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.algorithms.runtime import SearchBudget, SearchStep
-from repro.core.compiled import batch_evaluator_or_none
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.exceptions import AlgorithmError
@@ -53,13 +56,8 @@ __all__ = ["HillClimbing", "SimulatedAnnealing"]
 class _RefinementBase(DeploymentAlgorithm):
     """Shared starting-point handling for the refinement algorithms."""
 
-    def __init__(
-        self,
-        seed_algorithm: DeploymentAlgorithm | None = None,
-        use_incremental: bool = True,
-    ):
+    def __init__(self, seed_algorithm: DeploymentAlgorithm | None = None):
         self.seed_algorithm = seed_algorithm
-        self.use_incremental = use_incremental
 
     def _starting_mapping(self, context: ProblemContext) -> Deployment:
         if self.seed_algorithm is not None:
@@ -76,6 +74,14 @@ class _RefinementBase(DeploymentAlgorithm):
 class HillClimbing(_RefinementBase):
     """Steepest-descent over single-operation moves.
 
+    Each round scores the whole ``M x S`` single-move grid in one
+    :class:`~repro.core.batch.BatchEvaluator` kernel call and applies
+    the best strictly improving move (ties go to the first move in
+    operation-major, server-minor order). The kernel computes the same
+    floats as a full ``CostModel.objective()``, so a seeded climb
+    returns the deployment that pricing every candidate with a full
+    evaluation would.
+
     Parameters
     ----------
     seed_algorithm:
@@ -85,21 +91,6 @@ class HillClimbing(_RefinementBase):
         ``M x (N - 1)`` move neighbourhood. External budgets compose:
         a ``SearchBudget`` passed to ``deploy`` can stop the climb
         earlier still.
-    use_incremental:
-        Price moves with the incremental
-        :class:`~repro.core.incremental.MoveEvaluator` (default) or fall
-        back to one full ``CostModel.objective()`` per candidate.
-        Ignored when ``sweep="batch"`` takes effect.
-    sweep:
-        ``"scalar"`` (default) scans the neighbourhood one proposal at
-        a time through the paths above. ``"batch"`` scores the whole
-        ``M x S`` single-move grid per iteration in **one**
-        :class:`~repro.core.batch.BatchEvaluator` kernel call --
-        best-improvement with the identical scan order and floats, so
-        seeded results are byte-identical to the scalar sweep -- and
-        falls back to the incremental
-        :class:`~repro.core.incremental.MoveEvaluator` when NumPy is
-        unavailable.
     """
 
     name = "HillClimbing"
@@ -108,36 +99,21 @@ class HillClimbing(_RefinementBase):
         self,
         seed_algorithm: DeploymentAlgorithm | None = None,
         max_iterations: int = 1_000,
-        use_incremental: bool = True,
-        sweep: str = "scalar",
     ):
-        super().__init__(seed_algorithm, use_incremental)
+        super().__init__(seed_algorithm)
         self.max_iterations = SearchBudget.validate_count(
             "max_iterations", max_iterations
         )
-        if sweep not in ("scalar", "batch"):
-            raise AlgorithmError(
-                f"sweep must be 'scalar' or 'batch', got {sweep!r}"
-            )
-        self.sweep = sweep
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         current = self._starting_mapping(context)
-        batch = None
-        if self.sweep == "batch":
-            batch = batch_evaluator_or_none(context.compiled)
-        if batch is not None:
-            steps = self._steps_batch(context, current, batch)
-        elif self.use_incremental:
-            steps = self._steps_incremental(context, current)
-        else:
-            steps = self._steps_full(context, current)
-        return context.search(steps).best
+        return context.search(self._steps(context, current)).best
 
-    def _steps_batch(
-        self, context: ProblemContext, current: Deployment, batch
+    def _steps(
+        self, context: ProblemContext, current: Deployment
     ) -> Iterator[SearchStep]:
         compiled = context.compiled
+        batch = compiled.batch_evaluator()
         num_servers = compiled.num_servers
         servers = compiled.server_vector(current)
         current_value = float(batch.evaluate([servers]).objective[0])
@@ -168,76 +144,6 @@ class HillClimbing(_RefinementBase):
                 rejected=evals - 1,
             )
 
-    def _steps_incremental(
-        self, context: ProblemContext, current: Deployment
-    ) -> Iterator[SearchStep]:
-        evaluator = MoveEvaluator(context.cost_model, current)
-        yield SearchStep(evaluator.objective, current.copy, evals=1)
-        for _ in range(self.max_iterations):
-            best_move: tuple[str, str] | None = None
-            best_value = evaluator.objective
-            evals = 0
-            for operation in context.workflow.operation_names:
-                original = current.server_of(operation)
-                for server in context.network.server_names:
-                    if server == original:
-                        continue
-                    value = evaluator.propose_value(operation, server)
-                    evals += 1
-                    if value < best_value:
-                        best_value = value
-                        best_move = (operation, server)
-            if best_move is None:
-                yield SearchStep(
-                    best_value, current.copy, evals=evals, rejected=evals
-                )
-                break
-            evaluator.apply(*best_move)
-            yield SearchStep(
-                best_value,
-                current.copy,
-                evals=evals,
-                accepted=1,
-                rejected=evals - 1,
-            )
-
-    def _steps_full(
-        self, context: ProblemContext, current: Deployment
-    ) -> Iterator[SearchStep]:
-        cost_model = context.cost_model
-        current_value = cost_model.objective(current)
-        yield SearchStep(current_value, current.copy, evals=1)
-        for _ in range(self.max_iterations):
-            best_move: tuple[str, str] | None = None
-            best_value = current_value
-            evals = 0
-            for operation in context.workflow.operation_names:
-                original = current.server_of(operation)
-                for server in context.network.server_names:
-                    if server == original:
-                        continue
-                    current.assign(operation, server)
-                    value = cost_model.objective(current)
-                    evals += 1
-                    if value < best_value:
-                        best_value = value
-                        best_move = (operation, server)
-                current.assign(operation, original)
-            if best_move is None:
-                yield SearchStep(
-                    best_value, current.copy, evals=evals, rejected=evals
-                )
-                break
-            current.assign(*best_move)
-            current_value = best_value
-            yield SearchStep(
-                best_value,
-                current.copy,
-                evals=evals,
-                accepted=1,
-                rejected=evals - 1,
-            )
-
 
 @register_algorithm
 class SimulatedAnnealing(_RefinementBase):
@@ -256,10 +162,6 @@ class SimulatedAnnealing(_RefinementBase):
     steps:
         Number of proposed moves (the schedule length; an external
         ``SearchBudget`` can cut it short).
-    use_incremental:
-        Price moves with the incremental
-        :class:`~repro.core.incremental.MoveEvaluator` (default) or fall
-        back to one full ``CostModel.objective()`` per proposal.
     """
 
     name = "SimulatedAnnealing"
@@ -270,9 +172,8 @@ class SimulatedAnnealing(_RefinementBase):
         initial_temperature: float = 0.5,
         cooling: float = 0.995,
         steps: int = 2_000,
-        use_incremental: bool = True,
     ):
-        super().__init__(seed_algorithm, use_incremental)
+        super().__init__(seed_algorithm)
         if initial_temperature <= 0:
             raise AlgorithmError("initial_temperature must be > 0")
         if not 0.0 < cooling < 1.0:
@@ -283,13 +184,9 @@ class SimulatedAnnealing(_RefinementBase):
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         current = self._starting_mapping(context)
-        if self.use_incremental:
-            steps = self._steps_incremental(context, current)
-        else:
-            steps = self._steps_full(context, current)
-        return context.search(steps).best
+        return context.search(self._steps(context, current)).best
 
-    def _steps_incremental(
+    def _steps(
         self, context: ProblemContext, current: Deployment
     ) -> Iterator[SearchStep]:
         rng = context.rng
@@ -322,32 +219,3 @@ class SimulatedAnnealing(_RefinementBase):
             else:
                 yield SearchStep(current_value, snapshot, 1, 0, 1)
             temperature *= cooling
-
-    def _steps_full(
-        self, context: ProblemContext, current: Deployment
-    ) -> Iterator[SearchStep]:
-        cost_model = context.cost_model
-        rng = context.rng
-        operations = context.workflow.operation_names
-        servers = context.network.server_names
-        current_value = cost_model.objective(current)
-        snapshot = current.copy
-        yield SearchStep(current_value, snapshot, 1)
-        if len(servers) == 1:
-            return  # no move neighbourhood exists
-        temperature = self.initial_temperature * max(current_value, 1e-12)
-        for _ in range(self.steps):
-            operation = rng.choice(operations)
-            original = current.server_of(operation)
-            alternatives = [s for s in servers if s != original]
-            server = rng.choice(alternatives)
-            current.assign(operation, server)
-            value = cost_model.objective(current)
-            delta = value - current_value
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                current_value = value
-                yield SearchStep(value, snapshot, 1, 1, 0)
-            else:
-                current.assign(operation, original)
-                yield SearchStep(current_value, snapshot, 1, 0, 1)
-            temperature *= self.cooling

@@ -24,8 +24,8 @@ This package implements the formal model of section 2.2 of the paper:
 * :mod:`repro.core.cost` -- the cost model of Table 1 (``Tproc``, ``Tcomm``,
   ``Load``, ``TimePenalty``, ``Texecute``) and the weighted objective.
 * :mod:`repro.core.incremental` -- the incremental move-evaluation engine
-  (:class:`MoveEvaluator`, :class:`TableScorer`) that prices search moves
-  in time proportional to the affected region.
+  (:class:`MoveEvaluator`) that prices single search moves in time
+  proportional to the affected region.
 * :mod:`repro.core.batch` -- the vectorized batch evaluation kernel
   (``BatchEvaluator``) that scores a whole ``(K, M)`` array of candidate
   deployments per NumPy call. Requires NumPy, so it is re-exported
@@ -50,14 +50,10 @@ from repro.core.validation import (
 from repro.core.probability import execution_probabilities
 from repro.core.mapping import Deployment, FrozenDeployment
 from repro.core.migration import MigrationCostModel, TransitionObjective
-from repro.core.compiled import (
-    CompiledInstance,
-    batch_evaluator_or_none,
-    penalty_statistic,
-)
+from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.cost import CostModel, CostBreakdown
 from repro.core.rng import coerce_rng
-from repro.core.incremental import MoveEvaluator, MoveOutcome, TableScorer
+from repro.core.incremental import MoveEvaluator, MoveOutcome
 from repro.core.constraints import (
     Constraint,
     MaxExecutionTime,
@@ -84,7 +80,6 @@ __all__ = [
     "NodeKind",
     "BatchEvaluator",
     "BatchScores",
-    "batch_evaluator_or_none",
     "Operation",
     "Message",
     "Workflow",
@@ -104,7 +99,6 @@ __all__ = [
     "coerce_rng",
     "MoveEvaluator",
     "MoveOutcome",
-    "TableScorer",
     "Constraint",
     "MaxExecutionTime",
     "MaxServerLoad",

@@ -34,11 +34,10 @@ deployments as their scalar counterparts). :meth:`BatchScores.argbest`
 resolves ties like every existing consumer: the first row attaining the
 minimum wins.
 
-NumPy is required *here* but nowhere else: importing
-:mod:`repro.core.batch` without NumPy raises a ``RuntimeError`` naming
-``pip install numpy``, while every non-batch code path stays importable
-(consumers import this module lazily and fall back to their scalar
-implementations).
+NumPy is imported *here*, lazily: consumers reach this module through
+:meth:`~repro.core.compiled.CompiledInstance.batch_evaluator` on first
+use, so importing ``repro`` never loads NumPy. Without NumPy that call
+raises a ``RuntimeError`` naming ``pip install numpy``.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ try:
 except ImportError as exc:  # pragma: no cover - numpy is a declared dep
     raise RuntimeError(
         "repro.core.batch requires NumPy for its vectorized kernel; "
-        "install it with `pip install numpy` (every non-batch code path "
-        "works without it)"
+        "install it with `pip install numpy`"
     ) from exc
 
 from repro.core.compiled import (

@@ -20,9 +20,9 @@ vector -- and every consumer borrows the same artifact:
 * :class:`~repro.core.cost.CostModel` is a thin façade whose
   ``evaluate``/``objective``/``loads``/``response_times`` run an
   array-index forward pass over the compiled form;
-* :class:`~repro.core.incremental.MoveEvaluator` and
-  :class:`~repro.core.incremental.TableScorer` keep only their running
-  state and dirty-region logic;
+* :class:`~repro.core.incremental.MoveEvaluator` keeps only its running
+  state and dirty-region logic, and
+  :class:`~repro.core.batch.BatchEvaluator` only its dense matrices;
 * :class:`~repro.simulation.engine.SimulationEngine` reads processing
   durations and message delays from the same tables;
 * :class:`~repro.service.state.FleetState` holds one artifact per
@@ -53,7 +53,6 @@ from repro.network.topology import ServerNetwork
 __all__ = [
     "CompiledInstance",
     "PENALTY_MODES",
-    "batch_evaluator_or_none",
     "penalty_statistic",
     "JOIN_MAX",
     "JOIN_MIN",
@@ -90,23 +89,6 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
         return max(deviations)
     # std
     return math.sqrt(sum(d * d for d in deviations) / len(values))
-
-
-def batch_evaluator_or_none(compiled, enabled: bool = True):
-    """The instance's shared batch evaluator, or ``None`` to go scalar.
-
-    The one fallback idiom every batch consumer shares: returns
-    ``compiled.batch_evaluator()`` when *compiled* is present, *enabled*
-    is true and NumPy imports; returns ``None`` -- meaning "use your
-    scalar path" -- otherwise. Keeps every non-batch code path working
-    without NumPy (see :mod:`repro.core.batch`).
-    """
-    if compiled is None or not enabled:
-        return None
-    try:
-        return compiled.batch_evaluator()
-    except RuntimeError:
-        return None
 
 
 class CompiledInstance:
@@ -476,7 +458,7 @@ class CompiledInstance:
         The contract is *link changes only*: the server set, their
         powers and the workflow must be unchanged (those invalidate the
         whole artifact -- recompile instead). Callers holding
-        ``MoveEvaluator``/``TableScorer`` running state over this
+        ``MoveEvaluator`` running state over this
         instance must rebuild (or ``resync``) them; the fleet's
         rebalancer constructs them per round, so it gets fresh delays
         automatically.
@@ -799,8 +781,7 @@ class CompiledInstance:
         every batch consumer of this instance -- GA generations, sampler
         blocks, neighbourhood sweeps, fleet candidate sets -- shares one
         set of dense delay matrices. Raises ``RuntimeError`` if NumPy is
-        unavailable (see :mod:`repro.core.batch`); callers that must
-        work without NumPy catch it and fall back to scalar pricing.
+        unavailable (see :mod:`repro.core.batch`).
         """
         evaluator = self._batch
         if evaluator is None:

@@ -18,22 +18,21 @@ evaluation that makes search over deployment spaces tractable at scale:
     shifts), and a dirty-region forward pass that recomputes ``finish()``
     only for the moved operation's descendants.
 
-:class:`TableScorer`
-    Full-mapping scoring against the same tables, for algorithms that
-    evaluate complete candidate mappings (genetic genomes,
-    branch-and-bound leaves, the 32 000-sample quality protocol) --
-    no throwaway ``Deployment`` construction, no validation passes.
+Algorithms that price complete candidate mappings (genetic genomes,
+sampler draws, hill-climbing neighbourhoods) use the batch kernel of
+:mod:`repro.core.batch`, and branch-and-bound leaves call
+:meth:`~repro.core.compiled.CompiledInstance.components` directly.
 
-Both borrow the cost model's
+The evaluator borrows the cost model's
 :class:`~repro.core.compiled.CompiledInstance` instead of building
 private tables: one compilation of the problem instance serves the cost
-model, every evaluator and scorer attached to it, the simulation engine
-and the fleet. Dirty-region orders are memoised *on the artifact*, so
+model, every evaluator attached to it, the simulation engine and the
+fleet. Dirty-region orders are memoised *on the artifact*, so
 concurrent searches over the same instance share them too.
 
-Both are guarded by an exact-equivalence contract: for any reachable
-state, :attr:`MoveEvaluator.objective` and :meth:`TableScorer.objective`
-agree with :meth:`CostModel.evaluate` (the property tests assert 1e-9;
+It is guarded by an exact-equivalence contract: for any reachable
+state, :attr:`MoveEvaluator.objective` agrees with
+:meth:`CostModel.evaluate` (the property tests assert 1e-9;
 in practice the forward pass is bit-identical because every term is
 computed from the same operands in the same order, and only the
 running-sum load totals may drift by ulps over very long move sequences
@@ -43,13 +42,12 @@ running-sum load totals may drift by ulps over very long move sequences
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import DeploymentError
 
-__all__ = ["MoveEvaluator", "MoveOutcome", "TableScorer"]
+__all__ = ["MoveEvaluator", "MoveOutcome"]
 
 #: Commits between full load-table resyncs (bounds floating-point drift
 #: of the running sums; the forward pass needs no resync -- it is exact).
@@ -478,77 +476,3 @@ class MoveEvaluator:
         if self._pending is not None:
             self.commit()
         return outcome
-
-
-class TableScorer:
-    """Full-mapping objective scoring against the compiled tables.
-
-    For algorithms that price complete candidate mappings (genetic
-    genomes, branch-and-bound leaves, random samples): the same result
-    as ``cost_model.objective(Deployment(...))`` without constructing a
-    throwaway :class:`~repro.core.mapping.Deployment`, without the two
-    O(M) validation passes, and with every ``Tproc`` division and route
-    lookup amortised into the shared
-    :class:`~repro.core.compiled.CompiledInstance`.
-
-    Parameters
-    ----------
-    cost_model:
-        The cost model defining the objective.
-    operations:
-        Genome order: ``genome[i]`` is the server of ``operations[i]``.
-        Defaults to the workflow's operation order.
-    """
-
-    def __init__(
-        self,
-        cost_model: CostModel,
-        operations: Sequence[str] | None = None,
-    ):
-        self.cost_model = cost_model
-        self.compiled = cost_model.compiled
-        compiled = self.compiled
-        ops = (
-            tuple(operations)
-            if operations is not None
-            else compiled.op_names
-        )
-        if sorted(ops) != sorted(compiled.op_names):
-            raise DeploymentError(
-                "scorer operation order must cover exactly the workflow's "
-                "operations"
-            )
-        self.operations: tuple[str, ...] = ops
-        self._index = {name: i for i, name in enumerate(ops)}
-        # genome position of each compiled op index, so a genome converts
-        # to a server vector with one list comprehension
-        self._genome_pos: tuple[int, ...] = tuple(
-            self._index[name] for name in compiled.op_names
-        )
-        #: Number of genomes scored (diagnostics).
-        self.evaluations = 0
-
-    def components(
-        self, genome: Sequence[str]
-    ) -> tuple[float, float, float]:
-        """``(execution_time, time_penalty, objective)`` of *genome*."""
-        compiled = self.compiled
-        self.evaluations += 1
-        server_index = compiled.server_index
-        servers = [server_index[genome[pos]] for pos in self._genome_pos]
-        penalty = compiled.penalty(compiled.load_values(servers))
-        execution = compiled.execution_from(compiled.forward_pass(servers))
-        migration = compiled.migration_cost(servers)
-        return (
-            execution,
-            penalty,
-            compiled.objective_value(execution, penalty, migration),
-        )
-
-    def objective(self, genome: Sequence[str]) -> float:
-        """The scalar objective of *genome* (cheapest entry point)."""
-        return self.components(genome)[2]
-
-    def score_mapping(self, mapping: Mapping[str, str]) -> float:
-        """The scalar objective of a complete ``{op: server}`` dict."""
-        return self.objective([mapping[name] for name in self.operations])

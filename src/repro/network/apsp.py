@@ -32,7 +32,7 @@ return -- so batching changes *which* queries run, never their answers.
 
 **Dense fast path.** Geo-region factories build *complete* graphs where
 almost every shortest route is the direct link. When NumPy is available
-(gated exactly like :mod:`repro.core.batch`: optional import, silent
+(an optional import with a silent
 fallback to the pure-Python passes) the per-source *direct-dominance*
 check ``W[i, j] <= min_k(W[i, k] + W[k, j])`` -- evaluated in the same
 float64 arithmetic Dijkstra's relaxations would use -- proves for a
@@ -69,7 +69,7 @@ WEIGHT_TRANSFER = 1
 
 
 def _numpy_or_none():
-    """NumPy when importable, else ``None`` (same gate as repro.core.batch)."""
+    """NumPy when importable, else ``None``."""
     try:
         import numpy
     except ImportError:  # pragma: no cover - numpy is a declared dep

@@ -619,9 +619,13 @@ def partition(
     The coordinator holds the single trajectory (a server-index
     vector); each sweep fans the ``M x (N - 1)`` move scan out by
     operation partition and applies the globally best strict
-    improvement. Equivalent to serial best-improvement hill climbing on
-    the same start whenever per-partition bests are exact -- which they
-    are, the workers price with the same incremental evaluator.
+    improvement. Workers price moves with the incremental
+    :class:`~repro.core.incremental.MoveEvaluator`, whose values can
+    differ from a full evaluation in the last ulp, while serial
+    :class:`~repro.algorithms.local_search.HillClimbing` prices with
+    the batch kernel (full-evaluation floats). The two climbs therefore
+    take the same kind of steps but may pick different moves on some
+    instances and end at different local optima.
     """
     start = runtime.clock()
     num_workers = runtime.workers

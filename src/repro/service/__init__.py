@@ -68,7 +68,6 @@ from repro.service.sharding import ShardRouter, shard_for
 from repro.service.state import (
     FleetSnapshot,
     FleetState,
-    InstrumentedRouter,
     TenantDeployment,
     jain_index,
     load_penalty,
@@ -88,7 +87,6 @@ __all__ = [
     "FleetService",
     "FleetSnapshot",
     "FleetState",
-    "InstrumentedRouter",
     "Job",
     "LogRecord",
     "PREEMPT_PRIORITY",

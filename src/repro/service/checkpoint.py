@@ -276,7 +276,14 @@ def migration_from_dict(
 
 
 def config_to_dict(config: FleetConfig) -> dict[str, Any]:
-    """Encode a :class:`FleetConfig` as a JSON-compatible dict."""
+    """Encode a :class:`FleetConfig` as a JSON-compatible dict.
+
+    ``"use_batch"`` is written as the constant ``True``: the option is
+    gone (every controller prices candidates through the batch kernel),
+    but the key keeps encoded configs byte-identical to the documents
+    earlier releases wrote and hashed. :func:`config_from_dict` ignores
+    it.
+    """
     return {
         "algorithm": config.algorithm,
         "admission_load_limit_s": config.admission_load_limit_s,
@@ -287,7 +294,7 @@ def config_to_dict(config: FleetConfig) -> dict[str, Any]:
         "penalty_weight": config.penalty_weight,
         "penalty_mode": config.penalty_mode,
         "seed": config.seed,
-        "use_batch": config.use_batch,
+        "use_batch": True,
         "parallel_workers": config.parallel_workers,
         "migration": migration_to_dict(config.migration),
         "migration_weight": config.migration_weight,
@@ -321,7 +328,6 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
         ),
         penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
         seed=int(_require(document, "seed", "fleet config")),
-        use_batch=bool(document.get("use_batch", True)),
         parallel_workers=int(document.get("parallel_workers", 1)),
         migration=migration_from_dict(document.get("migration")),
         migration_weight=float(document.get("migration_weight", 0.0)),

@@ -62,7 +62,6 @@ from repro.algorithms.runtime import (
     SearchStep,
 )
 from repro.core.clock import StepClock
-from repro.core.compiled import batch_evaluator_or_none
 from repro.core.cost import PENALTY_MODES
 from repro.core.incremental import MoveEvaluator
 from repro.core.migration import MigrationCostModel
@@ -84,12 +83,7 @@ from repro.service.events import (
     WorkloadDrift,
 )
 from repro.service.log import FleetLog, FleetMetrics, LogRecord, format_detail
-from repro.service.state import (
-    ROUTE_INVALIDATION_MODES,
-    FleetSnapshot,
-    FleetState,
-    load_penalty,
-)
+from repro.service.state import FleetSnapshot, FleetState, load_penalty
 
 # StepClock lives in repro.core.clock now (the search runtime needs it
 # too); re-exported here because it is part of this module's public API.
@@ -127,15 +121,6 @@ class FleetConfig:
     seed:
         Seed of the controller's private RNG (handed to placement
         algorithms that need random initial mappings).
-    use_batch:
-        Price rebalance / join candidate sets through each tenant's
-        shared :class:`~repro.core.batch.BatchEvaluator` (one kernel
-        call per tenant per round). Decisions and logs are
-        byte-identical either way (only the cache hit/miss counters in
-        the metrics differ, because the two paths touch the caches
-        differently); the scalar
-        :class:`~repro.core.incremental.MoveEvaluator` path is used
-        automatically when NumPy is missing.
     parallel_workers:
         Opt-in: when > 1, each rebalance round's per-tenant candidate
         pricing fans out across this many worker processes (one
@@ -144,7 +129,7 @@ class FleetConfig:
         :meth:`FleetController.close` when done). The workers run the
         same batch kernel, so the priced floats -- and therefore the
         applied moves and the decision log -- are byte-identical to the
-        serial path. Requires ``use_batch``.
+        serial path.
     migration:
         Optional :class:`~repro.core.migration.MigrationCostModel`
         pricing what an applied move *costs* (checkpoint transfer over
@@ -169,21 +154,6 @@ class FleetConfig:
         tenant's operations, that tenant's operations are not eligible
         rebalance candidates for this many subsequent ticks --
         dampening move-it-back oscillation under drift. 0 disables.
-    route_invalidation:
-        How link events (failures/degrades) refresh the shared routing
-        caches -- one of
-        :data:`~repro.service.state.ROUTE_INVALIDATION_MODES`.
-        ``"scoped"`` (default) eagerly recomputes only the route pairs
-        whose paths cross a strictly *worsened* link (a failure, or a
-        degrade that is no faster and no less laggy) and bulk-refills
-        every tenant's delay tables in one pass; improvements and
-        upgrades fall back to a full eager recompile, because a better
-        link can attract routes that never crossed it -- the asymmetry
-        is inherent, not an optimisation choice. ``"eager"`` always
-        recompiles the whole table; ``"lazy"`` is the legacy
-        drop-and-refill-on-demand policy. All three modes produce
-        byte-identical fleet decisions and logs; they differ only in
-        when Dijkstra runs (see ``benchmarks/bench_routing.py``).
     """
 
     algorithm: str = "HeavyOps-LargeMsgs"
@@ -195,13 +165,11 @@ class FleetConfig:
     penalty_weight: float = 0.5
     penalty_mode: str = "mad"
     seed: int = 0
-    use_batch: bool = True
     parallel_workers: int = 1
     migration: MigrationCostModel | None = None
     migration_weight: float = 0.0
     rebalance_min_gain: float = 0.0
     rebalance_cooldown_ticks: int = 0
-    route_invalidation: str = "scoped"
 
     def __post_init__(self) -> None:
         if self.penalty_mode not in PENALTY_MODES:
@@ -209,23 +177,12 @@ class FleetConfig:
                 f"unknown penalty mode {self.penalty_mode!r}; expected one "
                 f"of {PENALTY_MODES}"
             )
-        if self.route_invalidation not in ROUTE_INVALIDATION_MODES:
-            raise ServiceError(
-                f"unknown route invalidation mode "
-                f"{self.route_invalidation!r}; expected one of "
-                f"{ROUTE_INVALIDATION_MODES}"
-            )
         if not 0.0 <= self.drift_threshold <= 1.0:
             raise ServiceError("drift_threshold must lie in [0, 1]")
         if self.max_moves_per_rebalance < 0:
             raise ServiceError("max_moves_per_rebalance must be >= 0")
         if self.parallel_workers < 1:
             raise ServiceError("parallel_workers must be >= 1")
-        if self.parallel_workers > 1 and not self.use_batch:
-            raise ServiceError(
-                "parallel_workers requires use_batch (workers price "
-                "through the batch kernel)"
-            )
         if not (
             math.isfinite(self.migration_weight)
             and self.migration_weight >= 0.0
@@ -277,7 +234,6 @@ class FleetController:
             execution_weight=self.config.execution_weight,
             penalty_weight=self.config.penalty_weight,
             penalty_mode=self.config.penalty_mode,
-            route_invalidation=self.config.route_invalidation,
         )
         self.log = FleetLog()
         #: Every event handled so far, in order -- the append-only
@@ -841,11 +797,9 @@ class FleetController:
         Per-tenant execution times are priced in bulk through each
         tenant's shared :class:`~repro.core.batch.BatchEvaluator`: one
         kernel call per tenant per round scores that tenant's whole
-        candidate set (falling back to the per-candidate dirty-region
-        :class:`~repro.core.incremental.MoveEvaluator` pass when NumPy
-        is unavailable or :attr:`FleetConfig.use_batch` is off -- both
-        paths produce the identical floats, so the applied moves and
-        logs are byte-identical).
+        candidate set. Applied moves go through one
+        :class:`~repro.core.incremental.MoveEvaluator` per tenant, which
+        keeps the tenant's live deployment and execution time current.
 
         The scan runs on the :class:`~repro.algorithms.runtime.
         SearchRuntime` -- one applied move per step -- under
@@ -911,23 +865,16 @@ class FleetController:
 
         def price_candidates(
             pairs: list[tuple[str, str]],
-        ) -> dict[tuple[str, str, str], float] | None:
+        ) -> dict[tuple[str, str, str], float]:
             """Batch-price tenant execution for every candidate move.
 
             One kernel call per tenant per round over that tenant's
-            ``(operation, target)`` rows; the kernel's forward pass is
-            bit-identical to the dirty-region proposal it replaces.
-            Returns ``None`` to use the scalar path.
+            ``(operation, target)`` rows.
             """
-            if not self.config.use_batch:
-                return None
             rows: dict[str, list[list[int]]] = {}
             keys: dict[str, list[tuple[str, str, str]]] = {}
             for tenant, operation in pairs:
                 compiled = state.cost_model(tenant).compiled
-                batch = batch_evaluator_or_none(compiled)
-                if batch is None:
-                    return None
                 deployment = state.tenant(tenant).deployment
                 source = deployment.server_of(operation)
                 base = compiled.server_vector(deployment)
@@ -1003,12 +950,7 @@ class FleetController:
                     for target in destinations:
                         if target == source:
                             continue
-                        if priced is not None:
-                            tenant_exec = priced[(tenant, operation, target)]
-                        else:
-                            tenant_exec = evaluators[tenant].propose(
-                                operation, target
-                            ).execution_time
+                        tenant_exec = priced[(tenant, operation, target)]
                         trial_loads = dict(loads)
                         trial_loads[source] -= (
                             weighted / network.server(source).power_hz

@@ -11,7 +11,7 @@ picture:
   joins and rebuilt (via the failover machinery) by failures;
 * one :class:`~repro.core.mapping.Deployment` per tenant, so operation
   names never collide across tenants;
-* a shared :class:`InstrumentedRouter` and a per-tenant
+* a shared :class:`~repro.network.routing.Router` and a per-tenant
   :class:`~repro.core.cost.CostModel` cache, both invalidated together
   whenever the topology changes -- the "shared cost-evaluation cache
   across tenants" that makes a 200-event replay cheap. Each cached cost
@@ -40,37 +40,12 @@ from repro.network.routing import Router
 from repro.network.topology import Link, Server, ServerNetwork
 
 __all__ = [
-    "ROUTE_INVALIDATION_MODES",
-    "InstrumentedRouter",
     "TenantDeployment",
     "FleetSnapshot",
     "FleetState",
     "load_penalty",
     "jain_index",
 ]
-
-#: Route-cache refresh policies for link events. ``scoped`` recomputes
-#: only the pairs crossing a strictly-worsened link (full recompile on
-#: improvements -- the asymmetry of
-#: :meth:`repro.network.routing.Router.invalidate`), ``eager`` always
-#: recompiles everything up front, ``lazy`` drops caches and refills on
-#: demand (the pre-1.9 behaviour). Decisions and logs are identical
-#: across all three.
-ROUTE_INVALIDATION_MODES = ("scoped", "eager", "lazy")
-
-
-class InstrumentedRouter(Router):
-    """A :class:`~repro.network.routing.Router` exposing cache counters.
-
-    The fleet shares one router across every tenant's cost model, so the
-    hit rate directly measures how much cross-tenant reuse the shared
-    cache buys -- one of the headline fleet metrics. The base router now
-    keys its cache per server *pair* (not per ``(pair, size)`` triple)
-    and counts hits/misses itself, so this subclass only survives as the
-    fleet-facing name; heterogeneous message sizes between the same pair
-    of servers are cache hits instead of guaranteed misses.
-    """
-
 
 @dataclass(frozen=True)
 class TenantDeployment:
@@ -149,15 +124,6 @@ class FleetState:
     execution_weight, penalty_weight, penalty_mode:
         Fleet-objective knobs, with the same semantics (and defaults) as
         :class:`~repro.core.cost.CostModel`.
-    route_invalidation:
-        How link events refresh the shared routing caches (see
-        :data:`ROUTE_INVALIDATION_MODES`): ``"scoped"`` (default)
-        eagerly recomputes only the routes crossing a *worsened* link
-        and falls back to a full eager recompile for improvements;
-        ``"eager"`` always recompiles the whole table; ``"lazy"`` is
-        the legacy drop-everything-and-refill-on-demand policy. All
-        three produce byte-identical fleet decisions and logs -- they
-        trade *when* Dijkstra runs, never what it answers.
     """
 
     def __init__(
@@ -166,19 +132,12 @@ class FleetState:
         execution_weight: float = 0.5,
         penalty_weight: float = 0.5,
         penalty_mode: str = "mad",
-        route_invalidation: str = "scoped",
     ):
         if penalty_mode not in PENALTY_MODES:
             raise ServiceError(
                 f"unknown penalty mode {penalty_mode!r}; expected one of "
                 f"{PENALTY_MODES}"
             )
-        if route_invalidation not in ROUTE_INVALIDATION_MODES:
-            raise ServiceError(
-                f"unknown route invalidation mode {route_invalidation!r}; "
-                f"expected one of {ROUTE_INVALIDATION_MODES}"
-            )
-        self.route_invalidation = route_invalidation
         self._network = network
         self.execution_weight = execution_weight
         self.penalty_weight = penalty_weight
@@ -192,15 +151,11 @@ class FleetState:
             penalty_weight=penalty_weight,
             penalty_mode=penalty_mode,
         )
-        self._router = InstrumentedRouter(network)
+        self._router = Router(network)
         self._tenants: dict[str, TenantDeployment] = {}
         self._cost_models: dict[str, CostModel] = {}
         self.cost_model_hits = 0
         self.cost_model_misses = 0
-        # router hit/miss traffic accumulated before lazy-mode cache
-        # clears (clear_cache resets the live counters by design)
-        self._router_hits_base = 0
-        self._router_misses_base = 0
         #: Bumped on every topology change; cache keys include it.
         self.epoch = 0
 
@@ -213,19 +168,19 @@ class FleetState:
         return self._network
 
     @property
-    def router(self) -> InstrumentedRouter:
+    def router(self) -> Router:
         """The shared router (replaced, counters preserved, on failure)."""
         return self._router
 
     @property
     def router_hits(self) -> int:
-        """Lifetime router cache hits, across lazy-mode cache clears."""
-        return self._router_hits_base + self._router.hits
+        """Lifetime router cache hits."""
+        return self._router.hits
 
     @property
     def router_misses(self) -> int:
-        """Lifetime router cache misses, across lazy-mode cache clears."""
-        return self._router_misses_base + self._router.misses
+        """Lifetime router cache misses."""
+        return self._router.misses
 
     @property
     def router_dijkstra_runs(self) -> int:
@@ -358,7 +313,7 @@ class FleetState:
         """Topology changed: drop every route and cost-model cache."""
         self.epoch += 1
         self._cost_models.clear()
-        router = InstrumentedRouter(self._network)
+        router = Router(self._network)
         router.hits = self._router.hits
         router.misses = self._router.misses
         router.dijkstra_runs = self._router.dijkstra_runs
@@ -378,33 +333,19 @@ class FleetState:
         The cheap sibling of :meth:`_invalidate_caches` for the
         link-level events: the server set, powers and every tenant's
         compiled arrays are still valid, so the cached cost models are
-        *kept* and only their route-delay state refreshes. How depends
-        on :attr:`route_invalidation`:
-
-        * ``scoped``/``eager`` -- the shared router recomputes *once*
-          (link-scoped when *changed_links* describes a strict
-          worsening and the mode is scoped, full otherwise), then every
-          tenant's compiled instance bulk-refills its route table,
-          migration rows and batch matrices from the refreshed caches.
-        * ``lazy`` -- drop the shared router's caches and every
-          tenant's route-derived state; queries refill on demand (the
-          legacy policy; hit/miss traffic is accumulated first so the
-          lifetime :attr:`router_hits`/:attr:`router_misses` survive
-          the counter reset of ``clear_cache``).
+        *kept* and only their route-delay state refreshes. The shared
+        router recomputes *once* -- only the pairs whose paths cross a
+        changed link when *changed_links* describes a strict worsening
+        (a failure, or a degrade that is no faster and no less laggy),
+        the whole table otherwise, because a better link can attract
+        routes that never crossed it -- then every tenant's compiled
+        instance bulk-refills its route table, migration rows and batch
+        matrices from the refreshed caches.
 
         The epoch still advances -- anything keyed on topology state
         must observe the change.
         """
         self.epoch += 1
-        if self.route_invalidation == "lazy":
-            self._router_hits_base += self._router.hits
-            self._router_misses_base += self._router.misses
-            self._router.clear_cache()
-            for model in self._cost_models.values():
-                model.compiled.reset_routes()
-            return
-        if self.route_invalidation != "scoped":
-            changed_links = None
         affected = self._router.invalidate(
             changed_links=changed_links,
             worsening=worsening,

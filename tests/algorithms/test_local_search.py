@@ -1,5 +1,7 @@
 """Unit tests for the local-search refinement extensions."""
 
+import random
+
 import pytest
 
 from repro.algorithms.exhaustive import Exhaustive
@@ -10,6 +12,12 @@ from repro.core.cost import CostModel
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import AlgorithmError
 from repro.network.topology import bus_network
+from repro.workloads.generator import (
+    GraphStructure,
+    random_bus_network,
+    random_graph_workflow,
+)
+from tests.oracles import FullEvaluationHillClimbing
 
 
 @pytest.fixture
@@ -29,20 +37,32 @@ class TestHillClimbing:
         with pytest.raises(AlgorithmError):
             HillClimbing(max_iterations=0)
 
-    def test_rejects_unknown_sweep(self):
-        with pytest.raises(AlgorithmError):
-            HillClimbing(sweep="bogus")
-
     def test_batch_sweep_matches_scalar(self, tiny):
         workflow, network, model = tiny
-        batched = HillClimbing(sweep="batch").deploy(
+        batched = HillClimbing().deploy(
             workflow, network, cost_model=model, rng=4
         )
-        scalar = HillClimbing(sweep="scalar").deploy(
+        scalar = FullEvaluationHillClimbing().deploy(
             workflow, network, cost_model=model, rng=4
         )
         assert batched.as_dict() == scalar.as_dict()
         assert model.objective(batched) == model.objective(scalar)
+
+    @pytest.mark.parametrize("seed", [1, 17, 32, 35])
+    def test_follows_full_evaluation_on_bus_instances(self, seed):
+        # 20-op hybrid workflows on a 10-server bus: seeds on which
+        # incremental (MoveEvaluator) pricing once flipped a last-ulp
+        # comparison and walked to a different local optimum
+        workflow = random_graph_workflow(20, GraphStructure.HYBRID, seed=seed)
+        network = random_bus_network(10, seed=seed)
+        model = CostModel(workflow, network)
+        climbed = HillClimbing().deploy(
+            workflow, network, cost_model=model, rng=random.Random(seed)
+        )
+        reference = FullEvaluationHillClimbing().deploy(
+            workflow, network, cost_model=model, rng=random.Random(seed)
+        )
+        assert climbed.as_dict() == reference.as_dict()
 
     def test_result_is_a_local_optimum(self, tiny):
         """No single-operation move may improve the returned mapping."""

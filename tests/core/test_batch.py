@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchEvaluator, BatchScores
-from repro.core.compiled import CompiledInstance, batch_evaluator_or_none
+from repro.core.compiled import CompiledInstance
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import DeploymentError
 from repro.network.topology import Link, bus_network
@@ -182,13 +182,6 @@ class TestSharing:
     def test_batch_evaluator_is_memoised(self, compiled):
         assert compiled.batch_evaluator() is compiled.batch_evaluator()
 
-    def test_helper_returns_shared_instance(self, compiled):
-        assert batch_evaluator_or_none(compiled) is compiled.batch_evaluator()
-
-    def test_helper_respects_enabled_flag_and_none(self, compiled):
-        assert batch_evaluator_or_none(compiled, enabled=False) is None
-        assert batch_evaluator_or_none(None) is None
-
     def test_delay_matrices_shared_per_size(self):
         workflow = random_graph_workflow(8, GraphStructure.BUSHY, seed=2)
         network = bus_network((2e9, 3e9), speed_bps=1e8)
@@ -238,14 +231,18 @@ class TestImportGuard:
             "    assert 'pip install numpy' in str(exc), exc\n"
             "else:\n"
             "    raise SystemExit('RuntimeError not raised')\n"
-            "from repro.core.compiled import batch_evaluator_or_none\n"
             "from repro.core.cost import CostModel\n"
             "from repro.network.topology import bus_network\n"
             "from repro.workloads.generator import line_workflow\n"
             "wf = line_workflow(3, seed=1)\n"
             "net = bus_network((2e9, 3e9), speed_bps=1e8)\n"
             "model = CostModel(wf, net)\n"
-            "assert batch_evaluator_or_none(model.compiled) is None\n"
+            "try:\n"
+            "    model.compiled.batch_evaluator()\n"
+            "except RuntimeError as exc:\n"
+            "    assert 'pip install numpy' in str(exc), exc\n"
+            "else:\n"
+            "    raise SystemExit('batch_evaluator() did not raise')\n"
         )
         subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True

@@ -22,7 +22,7 @@ from repro.core.compiled import (
     penalty_statistic,
 )
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.workflow import Message, NodeKind, Operation, Workflow
 from repro.exceptions import DeploymentError, UnknownServerError
@@ -199,9 +199,8 @@ class TestSharing:
             workflow, network, random.Random(0)
         )
         evaluator = MoveEvaluator(model, deployment)
-        scorer = TableScorer(model)
         assert evaluator.compiled is model.compiled
-        assert scorer.compiled is model.compiled
+        assert model.compiled.batch_evaluator().compiled is model.compiled
 
     def test_simulation_engine_accepts_a_shared_artifact(self, instance):
         workflow, network, compiled = instance
@@ -264,10 +263,7 @@ class TestSharing:
             workflow, network, random.Random(2)
         )
         evaluator = MoveEvaluator(model, deployment)
-        scorer = TableScorer(model)
-        genome = [
-            deployment.server_of(name) for name in scorer.operations
-        ]
+        servers = compiled.server_vector(deployment)
         breakdown = model.evaluate(deployment)
         assert evaluator.objective == breakdown.objective
-        assert scorer.objective(genome) == breakdown.objective
+        assert compiled.components(servers)[2] == breakdown.objective

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostBreakdown, CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import (
     PENALTY_MODES,
@@ -221,15 +221,17 @@ class TestEvaluatorsCarryMigration:
             rel_tol=1e-12,
         )
 
-    def test_table_scorer_matches_evaluate(
+    def test_compiled_components_match_evaluate(
         self, line3, bus3, aware_objective
     ):
         model = CostModel(line3, bus3, objective=aware_objective)
-        scorer = TableScorer(model)
+        compiled = model.compiled
         genome = ["S1", "S2", "S3"]
-        execution, penalty, objective = scorer.components(genome)
+        execution, penalty, objective = compiled.components(
+            [compiled.server_index[server] for server in genome]
+        )
         reference = model.evaluate(
-            Deployment(dict(zip(scorer.operations, genome)))
+            Deployment(dict(zip(compiled.op_names, genome)))
         )
         assert execution == reference.execution_time
         assert penalty == reference.time_penalty

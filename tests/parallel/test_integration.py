@@ -70,10 +70,3 @@ class TestFleetParallelPricing:
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a == b
-
-    def test_parallel_workers_require_batch_kernel(self):
-        from repro.exceptions import ServiceError
-        from repro.service.controller import FleetConfig
-
-        with pytest.raises(ServiceError):
-            FleetConfig(use_batch=False, parallel_workers=2)

@@ -11,12 +11,13 @@ The determinism contract of the vectorized
   penalty mode and every graph structure;
 * seeded GA / sampler / hill-climbing runs through the batch path must
   return deployments with identical objective values, and identical
-  RNG streams, as their scalar counterparts.
+  RNG streams, as their scalar counterparts -- the frozen oracles of
+  :mod:`tests.oracles` (the per-genome scalar loop and the
+  full-evaluation hill climber).
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationHillClimbing, scalar_pricing
 
 TOLERANCE = 1e-9
 
@@ -121,12 +123,13 @@ def test_seeded_genetic_identical_through_batch(size, servers, seed, structure):
     kwargs = dict(population_size=8, generations=4)
     rng_batch = random.Random(seed)
     rng_scalar = random.Random(seed)
-    batched = GeneticAlgorithm(use_batch=True, **kwargs).deploy(
+    batched = GeneticAlgorithm(**kwargs).deploy(
         workflow, network, cost_model=model, rng=rng_batch
     )
-    scalar = GeneticAlgorithm(use_batch=False, **kwargs).deploy(
-        workflow, network, cost_model=model, rng=rng_scalar
-    )
+    with scalar_pricing():
+        scalar = GeneticAlgorithm(**kwargs).deploy(
+            workflow, network, cost_model=model, rng=rng_scalar
+        )
     assert batched.as_dict() == scalar.as_dict()
     assert model.objective(batched) == model.objective(scalar)
     # identical RNG streams: both paths consumed exactly the same draws
@@ -144,9 +147,10 @@ def test_seeded_sampler_identical_through_batch(size, servers, seed, structure):
     batched = SolutionSampler(samples=50, block=16).run(
         workflow, network, model, rng_batch
     )
-    scalar = SolutionSampler(samples=50, use_batch=False).run(
-        workflow, network, model, rng_scalar
-    )
+    with scalar_pricing():
+        scalar = SolutionSampler(samples=50, block=1).run(
+            workflow, network, model, rng_scalar
+        )
     assert batched.samples == scalar.samples
     assert batched.best_execution_time == scalar.best_execution_time
     assert batched.best_time_penalty == scalar.best_time_penalty
@@ -166,35 +170,20 @@ def test_seeded_sampler_identical_through_batch(size, servers, seed, structure):
 def test_seeded_hill_climbing_identical_through_batch(
     size, servers, seed, structure
 ):
-    # the kernel's exact twin is *full* evaluation (it replicates the
-    # scalar IEEE operation order); the incremental MoveEvaluator path
-    # only promises 1e-9-approx values, so its accumulated ULP drift
-    # can legitimately flip a last-ULP accept/reject decision -- it is
-    # compared on objective quality below, not on the exact trajectory
+    # the kernel's exact twin is *full* evaluation: it replicates the
+    # scalar IEEE operation order, so the trajectories are identical
     workflow = make_workflow(size, seed, structure)
     network = random_bus_network(servers, seed=seed + 1)
     model = CostModel(workflow, network)
     kwargs = dict(max_iterations=30)
     rng_batch = random.Random(seed)
     rng_scalar = random.Random(seed)
-    rng_incremental = random.Random(seed)
-    batched = HillClimbing(sweep="batch", **kwargs).deploy(
+    batched = HillClimbing(**kwargs).deploy(
         workflow, network, cost_model=model, rng=rng_batch
     )
-    scalar = HillClimbing(
-        sweep="scalar", use_incremental=False, **kwargs
-    ).deploy(workflow, network, cost_model=model, rng=rng_scalar)
-    incremental = HillClimbing(sweep="scalar", **kwargs).deploy(
-        workflow, network, cost_model=model, rng=rng_incremental
+    scalar = FullEvaluationHillClimbing(**kwargs).deploy(
+        workflow, network, cost_model=model, rng=rng_scalar
     )
     assert batched.as_dict() == scalar.as_dict()
     assert model.objective(batched) == model.objective(scalar)
     assert rng_batch.getstate() == rng_scalar.getstate()
-    assert rng_batch.getstate() == rng_incremental.getstate()
-    # quality, not equality: when a last-ULP flip does occur the two
-    # trajectories walk to *different local optima*, so the finals are
-    # only comparable as solution quality (the per-move 1e-9 numeric
-    # contract itself is pinned in test_property_incremental)
-    assert model.objective(incremental) == pytest.approx(
-        model.objective(batched), rel=1e-3
-    )

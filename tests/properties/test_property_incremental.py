@@ -4,11 +4,12 @@ Two guarantees are exercised here:
 
 * **equivalence** -- over random instances (line and graph structure,
   XOR probabilities, every fairness statistic) and random move
-  sequences, :class:`MoveEvaluator` and :class:`TableScorer` agree with
-  ``CostModel.evaluate`` to within ``1e-9``;
+  sequences, :class:`MoveEvaluator` and
+  ``CompiledInstance.components`` agree with ``CostModel.evaluate`` to
+  within ``1e-9``;
 * **regression** -- the seeded local-search algorithms return the exact
-  same deployment whether they price moves incrementally or with the
-  pre-existing full evaluation, so the rewiring cannot have changed any
+  same deployment as the frozen full-evaluation oracles of
+  :mod:`tests.oracles`, so the rewiring cannot have changed any
   published experiment.
 """
 
@@ -20,13 +21,17 @@ from hypothesis import strategies as st
 
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
 from repro.core.cost import PENALTY_MODES, CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.workloads.generator import (
     GraphStructure,
     line_workflow,
     random_bus_network,
     random_graph_workflow,
+)
+from tests.oracles import (
+    FullEvaluationHillClimbing,
+    FullEvaluationSimulatedAnnealing,
 )
 
 TOLERANCE = 1e-9
@@ -103,16 +108,21 @@ def test_move_evaluator_tracks_cost_model(size, servers, seed, structure, mode):
     mode=modes,
 )
 @settings(max_examples=60, deadline=None)
-def test_table_scorer_tracks_cost_model(size, servers, seed, structure, mode):
+def test_compiled_components_track_cost_model(
+    size, servers, seed, structure, mode
+):
     workflow, network, model, _ = instance(size, servers, seed, structure, mode)
-    scorer = TableScorer(model)
+    compiled = model.compiled
     rng = random.Random(seed + 3)
-    servers_list = network.server_names
     for _ in range(5):
-        genome = tuple(rng.choice(servers_list) for _ in scorer.operations)
-        execution, penalty, objective = scorer.components(genome)
+        row = [
+            rng.randrange(compiled.num_servers)
+            for _ in range(compiled.num_ops)
+        ]
+        execution, penalty, objective = compiled.components(row)
+        genome = [compiled.server_names[index] for index in row]
         full = model.evaluate(
-            Deployment(dict(zip(scorer.operations, genome)))
+            Deployment(dict(zip(compiled.op_names, genome)))
         )
         assert abs(execution - full.execution_time) <= TOLERANCE
         assert abs(penalty - full.time_penalty) <= TOLERANCE
@@ -147,13 +157,12 @@ def test_hill_climbing_unchanged_by_incremental_pricing(seed, structure):
     network = random_bus_network(4, seed=seed + 50)
     model = CostModel(workflow, network)
     results = {}
-    for incremental in (True, False):
-        algorithm = HillClimbing(use_incremental=incremental)
+    for algorithm in (HillClimbing(), FullEvaluationHillClimbing()):
         deployment = algorithm.deploy(
             workflow, network, cost_model=model, rng=random.Random(seed)
         )
-        results[incremental] = deployment.as_dict()
-    assert results[True] == results[False]
+        results[type(algorithm)] = deployment.as_dict()
+    assert results[HillClimbing] == results[FullEvaluationHillClimbing]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -166,12 +175,14 @@ def test_simulated_annealing_unchanged_by_incremental_pricing(seed, structure):
     network = random_bus_network(4, seed=seed + 70)
     model = CostModel(workflow, network)
     results = {}
-    for incremental in (True, False):
-        algorithm = SimulatedAnnealing(
-            steps=400, use_incremental=incremental
-        )
+    for algorithm in (
+        SimulatedAnnealing(steps=400),
+        FullEvaluationSimulatedAnnealing(steps=400),
+    ):
         deployment = algorithm.deploy(
             workflow, network, cost_model=model, rng=random.Random(seed)
         )
-        results[incremental] = deployment.as_dict()
-    assert results[True] == results[False]
+        results[type(algorithm)] = deployment.as_dict()
+    assert results[SimulatedAnnealing] == (
+        results[FullEvaluationSimulatedAnnealing]
+    )

@@ -35,7 +35,7 @@ from repro.algorithms.runtime import (
 from repro.algorithms.sampling import SolutionSampler
 from repro.core.clock import StepClock
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.workloads.generator import (
     GraphStructure,
@@ -89,67 +89,6 @@ def oracle_hill_climbing(workflow, network, model, rng, max_iterations):
     return current
 
 
-def oracle_hill_climbing_incremental(
-    workflow, network, model, rng, max_iterations
-):
-    """HillClimbing._deploy_incremental as it was before the refactor.
-
-    Kept separate from the full-evaluation oracle: incremental deltas
-    differ from full re-evaluations in the last ulp, so the two paths
-    legitimately take different trajectories on some instances.
-    """
-    current = Deployment.random(workflow, network, rng)
-    evaluator = MoveEvaluator(model, current)
-    for _ in range(max_iterations):
-        best_move = None
-        best_value = evaluator.objective
-        for operation in workflow.operation_names:
-            original = current.server_of(operation)
-            for server in network.server_names:
-                if server == original:
-                    continue
-                value = evaluator.propose_value(operation, server)
-                if value < best_value:
-                    best_value = value
-                    best_move = (operation, server)
-        if best_move is None:
-            break
-        evaluator.apply(*best_move)
-    return current
-
-
-def oracle_simulated_annealing(
-    workflow, network, model, rng, initial_temperature, cooling, steps
-):
-    """SimulatedAnnealing._deploy_full as it was before the refactor."""
-    current = Deployment.random(workflow, network, rng)
-    operations = workflow.operation_names
-    servers = network.server_names
-    current_value = model.objective(current)
-    best = current.copy()
-    best_value = current_value
-    if len(servers) == 1:
-        return best
-    temperature = initial_temperature * max(current_value, 1e-12)
-    for _ in range(steps):
-        operation = rng.choice(operations)
-        original = current.server_of(operation)
-        alternatives = [s for s in servers if s != original]
-        server = rng.choice(alternatives)
-        current.assign(operation, server)
-        value = model.objective(current)
-        delta = value - current_value
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            current_value = value
-            if value < best_value:
-                best_value = value
-                best = current.copy()
-        else:
-            current.assign(operation, original)
-        temperature *= cooling
-    return best
-
-
 def oracle_simulated_annealing_incremental(
     workflow, network, model, rng, initial_temperature, cooling, steps
 ):
@@ -191,7 +130,8 @@ def oracle_sampler(workflow, network, model, rng, samples):
     """SolutionSampler.run as it was before the refactor."""
     operations = workflow.operation_names
     servers = network.server_names
-    scorer = TableScorer(model, operations)
+    compiled = model.compiled
+    server_index = compiled.server_index
     best_genome = None
     best_objective = float("inf")
     best_execution = float("inf")
@@ -199,7 +139,9 @@ def oracle_sampler(workflow, network, model, rng, samples):
     worst_objective = float("-inf")
     for _ in range(samples):
         genome = tuple(rng.choice(servers) for _ in operations)
-        execution, penalty, objective = scorer.components(genome)
+        execution, penalty, objective = compiled.components(
+            [server_index[server] for server in genome]
+        )
         if best_genome is None or objective < best_objective:
             best_genome = genome
             best_objective = objective
@@ -217,50 +159,35 @@ def oracle_sampler(workflow, network, model, rng, samples):
 @settings(max_examples=25, deadline=None)
 def test_hill_climbing_matches_frozen_oracle(size, servers, seed, structure):
     workflow, network, model = instance(size, servers, seed, structure)
-    oracles = {
-        False: oracle_hill_climbing,
-        True: oracle_hill_climbing_incremental,
-    }
-    for use_incremental, oracle in oracles.items():
-        expected = oracle(
-            workflow, network, model, random.Random(seed), max_iterations=50
-        )
-        algorithm = HillClimbing(
-            max_iterations=50, use_incremental=use_incremental
-        )
-        deployment, report = algorithm.deploy_with_report(
-            workflow, network, cost_model=model, rng=random.Random(seed)
-        )
-        assert deployment.as_dict() == expected.as_dict()
-        assert report is not None and report.exhausted
+    expected = oracle_hill_climbing(
+        workflow, network, model, random.Random(seed), max_iterations=50
+    )
+    deployment, report = HillClimbing(max_iterations=50).deploy_with_report(
+        workflow, network, cost_model=model, rng=random.Random(seed)
+    )
+    assert deployment.as_dict() == expected.as_dict()
+    assert report is not None and report.exhausted
 
 
 @given(size=sizes, servers=server_counts, seed=seeds, structure=structures)
 @settings(max_examples=25, deadline=None)
 def test_annealing_matches_frozen_oracle(size, servers, seed, structure):
     workflow, network, model = instance(size, servers, seed, structure)
-    oracles = {
-        False: oracle_simulated_annealing,
-        True: oracle_simulated_annealing_incremental,
-    }
-    for use_incremental, oracle in oracles.items():
-        expected = oracle(
-            workflow,
-            network,
-            model,
-            random.Random(seed),
-            initial_temperature=0.5,
-            cooling=0.99,
-            steps=120,
-        )
-        algorithm = SimulatedAnnealing(
-            cooling=0.99, steps=120, use_incremental=use_incremental
-        )
-        deployment, report = algorithm.deploy_with_report(
-            workflow, network, cost_model=model, rng=random.Random(seed)
-        )
-        assert deployment.as_dict() == expected.as_dict()
-        assert report is not None and report.exhausted
+    expected = oracle_simulated_annealing_incremental(
+        workflow,
+        network,
+        model,
+        random.Random(seed),
+        initial_temperature=0.5,
+        cooling=0.99,
+        steps=120,
+    )
+    algorithm = SimulatedAnnealing(cooling=0.99, steps=120)
+    deployment, report = algorithm.deploy_with_report(
+        workflow, network, cost_model=model, rng=random.Random(seed)
+    )
+    assert deployment.as_dict() == expected.as_dict()
+    assert report is not None and report.exhausted
 
 
 @given(
@@ -312,7 +239,6 @@ def assert_curve_monotone(report):
 
 ANYTIME_ALGORITHMS = [
     lambda: HillClimbing(max_iterations=50),
-    lambda: HillClimbing(max_iterations=50, use_incremental=False),
     lambda: SimulatedAnnealing(steps=150),
     lambda: GeneticAlgorithm(population_size=8, generations=10),
 ]

@@ -110,9 +110,12 @@ class TestConfigCodec:
                 max_steps=10, max_evals=200, deadline_s=1.5
             ),
             seed=9,
-            use_batch=False,
         )
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_encoding_keeps_the_retired_use_batch_key(self):
+        # encoded configs stay byte-identical to earlier documents
+        assert config_to_dict(FleetConfig())["use_batch"] is True
 
     def test_budget_none_passes_through(self):
         assert budget_to_dict(None) is None
@@ -214,6 +217,21 @@ class TestVerifiedRestore:
         path.write_text(json.dumps(document))
         with pytest.raises(ValidationError):
             restore_controller(path)
+
+    @pytest.mark.parametrize("use_batch", [False, True])
+    def test_documents_with_retired_use_batch_restore(
+        self, tmp_path, use_batch
+    ):
+        # drift rebalances, so the restore replays priced candidate moves
+        controller = replay("drift", seed=3)
+        path = write_checkpoint(controller, tmp_path / "fleet.json")
+        document = json.loads(path.read_text())
+        document["config"]["use_batch"] = use_batch
+        path.write_text(json.dumps(document))
+        restored, pending = restore_controller(path)
+        assert pending == ()
+        assert restored.log.to_text() == controller.log.to_text()
+        assert restored.state.snapshot() == controller.state.snapshot()
 
     def test_classmethod_restore_matches_function(self, tmp_path):
         controller = replay("steady", seed=7)

@@ -1,10 +1,9 @@
 """Determinism contract: replaying a seeded scenario is byte-identical."""
 
-import dataclasses
-
 import pytest
 
-from repro.service.scenarios import build_scenario, replay
+from repro.service.scenarios import replay
+from tests.oracles import scalar_pricing
 
 
 @pytest.mark.parametrize("name", ["steady", "churn"])
@@ -27,20 +26,13 @@ class TestByteIdenticalReplay:
     def test_batch_pricing_does_not_change_decisions(self, name):
         """Batch vs scalar candidate pricing yields byte-identical logs.
 
-        Scenarios are one-shot (the controller mutates the network), so
-        each run rebuilds from ``(name, seed)`` with only ``use_batch``
-        flipped. Metrics are deliberately *not* compared: the two paths
-        touch the route / cost-model caches differently, so the cache
-        hit/miss counters diverge while every decision stays the same.
+        The scalar side is the frozen per-row oracle of
+        :mod:`tests.oracles`. Metrics are deliberately *not* compared:
+        the two paths touch the route / cost-model caches differently,
+        so the cache hit/miss counters diverge while every decision
+        stays the same.
         """
-        logs = []
-        for use_batch in (True, False):
-            scenario = build_scenario(name, seed=7)
-            scenario = dataclasses.replace(
-                scenario,
-                config=dataclasses.replace(
-                    scenario.config, use_batch=use_batch
-                ),
-            )
-            logs.append(replay(scenario).log.to_text())
-        assert logs[0] == logs[1]
+        batched = replay(name, seed=7).log.to_text()
+        with scalar_pricing():
+            scalar = replay(name, seed=7).log.to_text()
+        assert batched == scalar

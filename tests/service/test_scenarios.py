@@ -4,11 +4,9 @@ import random
 
 import pytest
 
-from dataclasses import replace
-
 from repro.exceptions import ServiceError
 from repro.io.json_codec import workflow_to_dict
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetController, StepClock
 from repro.service.events import CapacityDrift, LinkDegrade, WorkloadDrift
 from repro.service.scenarios import (
     build_scenario,
@@ -18,6 +16,8 @@ from repro.service.scenarios import (
     replay,
     wave_workflow,
 )
+
+from tests.oracles import use_route_invalidation
 
 from .conftest import make_line
 
@@ -282,20 +282,15 @@ class TestDiurnalScenario:
 def _replay_with_mode(name, mode, seed=0):
     scenario = build_scenario(name, seed=seed)
     controller = FleetController(
-        scenario.network,
-        config=replace(scenario.config, route_invalidation=mode),
-        clock=StepClock(),
+        scenario.network, config=scenario.config, clock=StepClock()
     )
+    use_route_invalidation(controller, mode)
     controller.run(scenario.events)
     return controller
 
 
 class TestInvalidationModes:
-    """Scoped, eager and lazy invalidation decide identically."""
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ServiceError, match="route invalidation"):
-            FleetConfig(route_invalidation="sometimes")
+    """Scoped invalidation decides like the frozen eager and lazy modes."""
 
     @pytest.mark.parametrize("name", ["abilene", "geo", "diurnal"])
     def test_modes_agree_byte_for_byte(self, name):

@@ -5,12 +5,7 @@ import pytest
 from repro.core.mapping import Deployment
 from repro.exceptions import ReproError, ServiceError
 from repro.network.topology import bus_network
-from repro.service.state import (
-    FleetState,
-    InstrumentedRouter,
-    jain_index,
-    load_penalty,
-)
+from repro.service.state import FleetState, jain_index, load_penalty
 
 
 def place_round_robin(state, tenant, workflow):
@@ -19,9 +14,9 @@ def place_round_robin(state, tenant, workflow):
     return state.add_tenant(tenant, workflow, deployment)
 
 
-class TestInstrumentedRouter:
+class TestFleetRouter:
     def test_counts_misses_then_hits(self, fleet_network):
-        router = InstrumentedRouter(fleet_network)
+        router = FleetState(fleet_network).router
         router.transmission_time("S1", "S2", 1000)
         assert (router.hits, router.misses) == (0, 1)
         router.transmission_time("S1", "S2", 1000)
@@ -29,7 +24,7 @@ class TestInstrumentedRouter:
         assert router.hit_rate == 0.5
 
     def test_colocated_queries_bypass_the_cache(self, fleet_network):
-        router = InstrumentedRouter(fleet_network)
+        router = FleetState(fleet_network).router
         assert router.transmission_time("S1", "S1", 1000) == 0.0
         assert (router.hits, router.misses) == (0, 0)
 
