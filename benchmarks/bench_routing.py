@@ -3,8 +3,9 @@
 Two experiments over the routing layer (see DESIGN.md §15):
 
 * **compile** -- filling the full all-pairs route table of a 50-server
-  geo fleet (complete, heterogeneous graph) two ways: the lazy path
-  (every pair classified by its own targeted Dijkstra queries) versus
+  geo fleet (complete, heterogeneous graph) two ways: the retired lazy
+  path (every pair classified by its own targeted Dijkstra queries,
+  frozen in ``_retired.py``) versus
   :meth:`~repro.network.routing.Router.compile_all_pairs` (per-source
   sweeps plus the dense direct-dominance fast path). Both tables must
   be *byte-identical*; the compiled path must win on Dijkstra count
@@ -14,9 +15,9 @@ Two experiments over the routing layer (see DESIGN.md §15):
 
 * **invalidation** -- replaying the seeded ``abilene`` scenario under
   the production ``scoped`` route invalidation versus the retired
-  ``lazy`` mode (drop every route cache and refill on demand, frozen
-  here) and summing the router's Dijkstra runs across the link events
-  (brownouts/failures). Scoped invalidation recomputes only the pairs
+  ``lazy`` mode (drop every route cache and refill per pair on demand,
+  frozen in ``_retired.py``) and summing the router's Dijkstra runs
+  across the link events (brownouts/failures). Scoped invalidation recomputes only the pairs
   whose classification paths crossed a changed link, so it must spend
   at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer runs per link
   event -- a deterministic, seeded count asserted even in smoke. The
@@ -39,6 +40,7 @@ from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
 from _common import emit, perf_floor, write_json
+from _retired import invalidate_lazy, lazy_router
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -102,7 +104,7 @@ def _route_table(router: Router) -> dict:
 
 def _lazy_fill(network) -> tuple[Router, float]:
     """The per-pair path: classify every pair through its own queries."""
-    router = Router(network)
+    router = lazy_router(Router(network))
     names = network.server_names
     start = time.perf_counter()
     for a in names:
@@ -181,14 +183,6 @@ def bench_routing_compile(benchmark):
 LINK_EVENTS = ("link-failed", "link-degraded")
 
 
-def _invalidate_lazy(state, *_args, **_kwargs):
-    """The retired ``lazy`` mode of ``FleetState._invalidate_routes``."""
-    state.epoch += 1
-    state._router.clear_cache()
-    for model in state._cost_models.values():
-        model.compiled.reset_routes()
-
-
 def _replay_counting(mode: str):
     """Replay abilene under *mode*; per-link-event Dijkstra-run deltas."""
     scenario = build_scenario(SCENARIO, seed=SEED)
@@ -197,7 +191,7 @@ def _replay_counting(mode: str):
     )
     if mode == "lazy":
         state = controller.state
-        state._invalidate_routes = partial(_invalidate_lazy, state)
+        state._invalidate_routes = partial(invalidate_lazy, state)
     link_runs = 0
     link_events = 0
     for event in scenario.events:

@@ -208,7 +208,7 @@ class BatchEvaluator:
         every pair into ``base``/``rate`` and recomputes each cached
         per-size matrix **in place**, because the per-operation incoming
         tuples hold references to those arrays. One bulk pass instead of
-        discarding the evaluator and re-resolving every pair lazily.
+        discarding the evaluator and rebuilding it.
 
         *affected* (index pairs, both directions) scopes the expensive
         part: a size-dependent pair outside the affected set kept its

@@ -98,8 +98,8 @@ class CompiledInstance:
     a deployment lives in flat tuples indexed by small integers, and the
     only per-evaluation input is a server vector ``servers[op_index] ->
     server_index``. The artifact is immutable after construction (the
-    route table and region caches fill lazily but never change value),
-    with one sanctioned exception: when *link parameters* change at
+    region caches fill lazily but never change value), with one
+    sanctioned exception: when *link parameters* change at
     runtime, :meth:`invalidate_routes` resets everything derived from
     route delays in place. Any other mutation of the workflow or
     network requires a recompile.
@@ -119,8 +119,9 @@ class CompiledInstance:
         an ``XOR`` split.
     router:
         Optional pre-built :class:`~repro.network.routing.Router` whose
-        per-pair affine coefficients seed the route-delay table; built
-        fresh when omitted.
+        per-pair affine coefficients fill the route-delay table; built
+        fresh when omitted. A router whose table is already compiled
+        (the fleet's shared router) costs no Dijkstra run here.
     objective:
         Optional :class:`~repro.core.migration.TransitionObjective`. When
         given it is the single source of truth for every objective
@@ -159,11 +160,11 @@ class CompiledInstance:
         Join semantics code (:data:`JOIN_MAX`/:data:`JOIN_MIN`/
         :data:`JOIN_XOR`) plus the static XOR join weights.
     routes:
-        The lazily-filled per-``(server, server)`` affine route-delay
-        table: ``(propagation_s, transfer_s_per_bit)``, ``None`` when
-        not yet resolved, ``()`` for the rare genuinely size-dependent
-        pairs (answered by the router per size). Read through
-        :meth:`delay` unless you replicate its fallback.
+        The per-``(server, server)`` affine route-delay table, filled
+        whole at construction: ``(propagation_s, transfer_s_per_bit)``,
+        or ``()`` for the rare genuinely size-dependent pairs (answered
+        by the router per size). Read through :meth:`delay` unless you
+        replicate its fallback.
     objective, transition_aware, migration_weight:
         The resolved :class:`~repro.core.migration.TransitionObjective`
         plus its unpacked gate and coefficient.
@@ -334,14 +335,7 @@ class CompiledInstance:
             sum(weights) for weights in self.xor_weights
         )
 
-        # ---- route-delay table (lazily resolved through the router) -----
-        self.routes: list[list[tuple[float, float] | None]] = [
-            [None] * self.num_servers for _ in range(self.num_servers)
-        ]
-        for i in range(self.num_servers):
-            self.routes[i][i] = (0.0, 0.0)  # co-located: free, any size
-
-        # ---- transition baseline + migration-cost table ------------------
+        # ---- transition baseline -----------------------------------------
         if self.transition_aware:
             baseline = objective.baseline.as_dict()
             missing = [
@@ -356,12 +350,9 @@ class CompiledInstance:
                 self.server_index_of(baseline[name])
                 for name in self.op_names
             )
-            self.migration_table: tuple[tuple[float, ...], ...] | None = (
-                self._compile_migration_table()
-            )
         else:
             self.baseline_servers = None
-            self.migration_table = None
+        self.migration_table: tuple[tuple[float, ...], ...] | None = None
 
         # ---- lazily-filled caches ---------------------------------------
         self._graph = workflow.graph
@@ -372,6 +363,23 @@ class CompiledInstance:
         self._dirty: dict[int, tuple[int, ...]] = {}
         self._scopes: dict[int, tuple[int, ...]] | None = None
         self._batch = None
+
+        # ---- route-delay + migration-cost tables: one bulk read ----------
+        if self.router.network.server_names != self.server_names:
+            # the router's table is indexed in its own network's order
+            raise DeploymentError(
+                f"router over {self.router.network.name!r} does not route "
+                f"the servers of {network.name!r} in the same order"
+            )
+        self.routes: list[list[tuple[float, float] | tuple[()]]] = [
+            [] for _ in range(self.num_servers)
+        ]
+        if self.num_servers > 1:
+            # one counted router query: on a fresh router it compiles
+            # the whole table (the miss); on a compiled shared router it
+            # is a hit and runs no Dijkstra
+            self.router.pair_coefficients(*self.server_names[:2])
+        self._refresh_routes(None)
 
     # ------------------------------------------------------------------
     # index resolution
@@ -419,24 +427,10 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # route delays
     # ------------------------------------------------------------------
-    def compile_all_pairs(self) -> None:
-        """Eagerly materialise the whole route-delay table.
-
-        Batched compilation through
-        :meth:`~repro.network.routing.Router.compile_all_pairs` (at most
-        two single-source Dijkstra passes per server) followed by a bulk
-        refill of the lazy per-pair table -- bit-identical entries to
-        what lazy per-pair resolution would produce, just without the
-        2 per pair targeted runs and without counting cache traffic.
-        """
-        self.router.compile_all_pairs()
-        self._refresh_routes(None)
-
     def invalidate_routes(
         self,
         changed_links: tuple[tuple[str, str], ...] | None = None,
         worsening: bool = False,
-        eager: bool = True,
         speed_changed: bool = True,
         propagation_changed: bool = True,
     ) -> None:
@@ -445,15 +439,13 @@ class CompiledInstance:
         The explicit invalidation/rebuild hook of the scenario layer:
         when a link fails, degrades or is upgraded, the compiled
         artifact stays valid *except* for everything derived from route
-        delays. By default the refresh is *eager*: the router recomputes
-        immediately (link-scoped when *changed_links* is given with
-        ``worsening=True`` -- a failure or strict degrade -- full
-        otherwise; see :meth:`repro.network.routing.Router.invalidate`
-        for the asymmetry) and the route table, the migration-cost table
-        and the memoised batch evaluator's dense delay matrices are
-        bulk-refilled in one pass instead of trickling back through
-        per-pair resolutions mid-rebalance. ``eager=False`` is the
-        legacy lazy path: drop everything and let queries refill.
+        delays. The router recomputes immediately (link-scoped when
+        *changed_links* is given with ``worsening=True`` -- a failure or
+        strict degrade -- full otherwise; see
+        :meth:`repro.network.routing.Router.invalidate` for the
+        asymmetry) and the route table, the migration-cost table and the
+        memoised batch evaluator's dense delay matrices are bulk-refilled
+        in one pass.
 
         The contract is *link changes only*: the server set, their
         powers and the workflow must be unchanged (those invalidate the
@@ -469,42 +461,20 @@ class CompiledInstance:
                 f"{self.network.name!r}: the server set changed; "
                 f"recompile the instance instead"
             )
-        if eager:
-            affected = self.router.invalidate(
-                changed_links=changed_links,
-                worsening=worsening,
-                speed_changed=speed_changed,
-                propagation_changed=propagation_changed,
-            )
-            self._refresh_routes(affected)
-        else:
-            self.router.clear_cache()
-            self.reset_routes()
-
-    def reset_routes(self) -> None:
-        """Drop route-derived state, to refill lazily (legacy path).
-
-        Resets the lazy route table, drops the memoised batch evaluator
-        and recompiles the migration table through fresh router queries.
-        Does *not* touch the router's own caches -- the owner (the fleet
-        state shares one router across tenants) clears or invalidates
-        it exactly once.
-        """
-        self.routes = [
-            [None] * self.num_servers for _ in range(self.num_servers)
-        ]
-        for i in range(self.num_servers):
-            self.routes[i][i] = (0.0, 0.0)
-        self._batch = None
-        if self.transition_aware:
-            self.migration_table = self._compile_migration_table()
+        affected = self.router.invalidate(
+            changed_links=changed_links,
+            worsening=worsening,
+            speed_changed=speed_changed,
+            propagation_changed=propagation_changed,
+        )
+        self._refresh_routes(affected)
 
     def refresh_routes(
         self, affected: set[tuple[str, str]] | None = None
     ) -> None:
         """Refresh route-derived state from an already-updated router.
 
-        The fleet path: the shared router was invalidated (and eagerly
+        The fleet path: the shared router was invalidated (and
         recomputed) once at the state level; each tenant's compiled
         instance then refreshes its own route table, migration rows and
         batch matrices from the router's caches. *affected* is the
@@ -523,33 +493,19 @@ class CompiledInstance:
         if affected is not None and not affected:
             return  # scoped invalidation touched none of the routes
         routes = self.routes
-        server_index = self.server_index
-        names = self.server_names
+        rows = self.router.coefficient_rows()
         if affected is None:
-            pairs = [
-                (i, j)
-                for i in range(self.num_servers)
-                for j in range(i + 1, self.num_servers)
-            ]
+            # rows are patched in place: evaluators may hold the table
+            for row, source in zip(routes, rows):
+                row[:] = source
         else:
+            server_index = self.server_index
             pairs = [
                 (server_index[a], server_index[b]) for a, b in affected
             ]
-        for i, j in pairs:
-            route = self.router.cached_route(names[i], names[j])
-            if route is None:  # pragma: no cover - router compiles first
-                routes[i][j] = None
-                routes[j][i] = None
-                continue
-            coeff: tuple[float, float] | tuple[()]
-            if route.size_independent:
-                coeff = (route.propagation_s, route.transfer_s_per_bit)
-            else:
-                coeff = ()  # size-dependent pair: router answers per size
-            # canonical-direction builds make the coefficients exact for
-            # both directions (the reverse path sums the same links)
-            routes[i][j] = coeff
-            routes[j][i] = coeff
+            for i, j in pairs:
+                routes[i][j] = rows[i][j]
+                routes[j][i] = rows[j][i]
         if self.transition_aware:
             if affected is None:
                 self.migration_table = self._compile_migration_table()
@@ -584,16 +540,6 @@ class CompiledInstance:
                 )
         self.migration_table = tuple(tuple(row) for row in table)
 
-    def _resolve_route(self, source: int, target: int) -> tuple:
-        """Fill one route-table slot from the router's classification."""
-        coeff = self.router.pair_coefficients(
-            self.server_names[source], self.server_names[target]
-        )
-        if coeff is None:
-            coeff = ()  # size-dependent pair: router answers per size
-        self.routes[source][target] = coeff
-        return coeff
-
     def route_coefficients(
         self, source: int, target: int
     ) -> tuple[float, float] | tuple[()]:
@@ -601,15 +547,11 @@ class CompiledInstance:
 
         ``(propagation_s, transfer_s_per_bit)`` for affine pairs, the
         empty tuple for the rare genuinely size-dependent pairs (price
-        those through the router per size). Resolves the lazy route
-        table slot on first access -- this is the read-through API for
-        consumers (such as the batch kernel) that materialise the table
-        instead of calling :meth:`delay` per message.
+        those through the router per size) -- the read API for consumers
+        (such as the batch kernel) that materialise the table instead of
+        calling :meth:`delay` per message.
         """
-        coeff = self.routes[source][target]
-        if coeff is None:
-            coeff = self._resolve_route(source, target)
-        return coeff
+        return self.routes[source][target]
 
     def delay(self, source: int, target: int, size_bits: float) -> float:
         """``Tcomm`` of one message between two server indices.
@@ -622,8 +564,6 @@ class CompiledInstance:
         to the router per query.
         """
         coeff = self.routes[source][target]
-        if coeff is None:
-            coeff = self._resolve_route(source, target)
         if coeff:
             return coeff[0] + size_bits * coeff[1]
         return self.router.transmission_time(

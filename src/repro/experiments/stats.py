@@ -10,22 +10,112 @@ how sure it is. This module adds:
   :class:`~repro.experiments.runner.ExperimentResult`;
 * :func:`comparison_table` -- the above as a printable table.
 
-Uses :mod:`scipy.stats` for the t quantile.
+The Student-t quantile (:func:`t_ppf`) is computed here with the
+standard library alone, so the CLI and the service do not need SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
-
-from scipy import stats as scipy_stats
 
 from repro.exceptions import ExperimentError
 from repro.experiments.reporting import TextTable, format_seconds
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["SummaryStats", "summarize", "win_matrix", "comparison_table"]
+__all__ = [
+    "SummaryStats",
+    "summarize",
+    "t_ppf",
+    "win_matrix",
+    "comparison_table",
+]
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (Lentz)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _beta_regularized(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function ``I_x(a, b)``.
+
+    *y* is ``1 - x``, computed by the caller without cancellation.
+    """
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def t_ppf(probability: float, df: int) -> float:
+    """The Student-t quantile: ``t`` with ``P(T <= t) = probability``.
+
+    Newton's method on the t CDF (through the regularized incomplete
+    beta function), started at the normal quantile. For
+    ``probability > 0.5`` the CDF is concave on ``t > 0`` and the start
+    lies below the root, so the iterates rise monotonically onto it.
+    The CDF residual is taken from whichever beta tail is small, so it
+    stays accurate near the centre and far out in the tail alike.
+    """
+    if not 0.0 < probability < 1.0:
+        raise ExperimentError("probability must lie strictly in (0, 1)")
+    if df < 1:
+        raise ExperimentError("degrees of freedom must be >= 1")
+    if probability < 0.5:
+        return -t_ppf(1.0 - probability, df)
+    if probability == 0.5:
+        return 0.0
+    nu = float(df)
+    log_norm = (
+        math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
+        - 0.5 * math.log(nu * math.pi)
+    )
+    t = NormalDist().inv_cdf(probability)
+    for _ in range(200):
+        t2 = t * t
+        x = nu / (nu + t2)
+        y = t2 / (nu + t2)
+        # F(t) - probability, with F(t) = 1 - I_x(nu/2, 1/2) / 2
+        #                                = 1/2 + I_y(1/2, nu/2) / 2
+        if t2 < nu:
+            excess = (
+                0.5 * _beta_regularized(0.5, nu / 2.0, y, x)
+                - (probability - 0.5)
+            )
+        else:
+            excess = (
+                (1.0 - probability)
+                - 0.5 * _beta_regularized(nu / 2.0, 0.5, x, y)
+            )
+        density = math.exp(log_norm - (nu + 1.0) / 2.0 * math.log1p(t2 / nu))
+        step = excess / density
+        t -= step
+        if abs(step) <= 1e-15 * t:
+            break
+    return t
 
 
 @dataclass(frozen=True)
@@ -66,7 +156,7 @@ def summarize(
         return SummaryStats(1, mean, 0.0, mean, mean, confidence)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)
-    t = float(scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1))
+    t = t_ppf(0.5 + confidence / 2, n - 1)
     half = t * std / math.sqrt(n)
     return SummaryStats(n, mean, std, mean - half, mean + half, confidence)
 

@@ -1,20 +1,20 @@
 """Batched all-pairs shortest-route compilation over a server network.
 
 The :class:`~repro.network.routing.Router` classifies each server pair
-by running Dijkstra twice -- once by propagation delay (the size-0
-optimum) and once by transfer coefficient (the size-infinity optimum).
-Resolved lazily that costs ``2 * S * (S - 1)`` *targeted* runs to fill
-a full route table, each one driven through a networkx Python-lambda
-weight callback. This module compiles the same answers in ``2 * S``
+by two shortest-path searches -- one by propagation delay (the size-0
+optimum) and one by transfer coefficient (the size-infinity optimum).
+Resolved per pair that would cost ``S * (S - 1)`` *targeted* runs to
+fill a route table. This module compiles the same answers in ``2 * S``
 single-source passes over a prebuilt integer-indexed adjacency snapshot
 with precomputed ``(propagation_s, 1/speed_bps)`` edge weights -- the
 min-propagation pass, the min-transfer pass and the dominance
 classification for every target of a source happen in one sweep.
 
 **Exactness contract.** Every coefficient and representative path is
-*byte-identical* to what the per-pair lazy path produces, because the
-inner loop replicates networkx's ``_dijkstra_multisource`` semantics
-exactly:
+*byte-identical* to what per-pair networkx Dijkstra queries behind a
+Python-lambda weight produce (the frozen oracle of the routing property
+tests), because the inner loop replicates networkx's
+``_dijkstra_multisource`` semantics exactly:
 
 * the fringe holds ``(distance, tie_counter, node)`` triples, so ties
   on equal distances resolve by push order;
@@ -23,18 +23,17 @@ exactly:
   (``vu_dist < seen[u]``), never on equality;
 * distances accumulate as the left fold ``dist[v] + w`` and path
   coefficients as the left-to-right sums of
-  :meth:`Router._coefficients`, so every float is produced by the same
-  IEEE-754 operation sequence.
+  :meth:`CompiledGraph.coefficients`, so every float is produced by the
+  same IEEE-754 operation sequence.
 
 A full single-source pass finalises, for each target, the exact path a
 targeted run (which merely breaks early at the target's pop) would
 return -- so batching changes *which* queries run, never their answers.
 
 **Dense fast path.** Geo-region factories build *complete* graphs where
-almost every shortest route is the direct link. When NumPy is available
-(an optional import with a silent
-fallback to the pure-Python passes) the per-source *direct-dominance*
-check ``W[i, j] <= min_k(W[i, k] + W[k, j])`` -- evaluated in the same
+almost every shortest route is the direct link. There the NumPy
+per-source *direct-dominance* check
+``W[i, j] <= min_k(W[i, k] + W[k, j])`` -- evaluated in the same
 float64 arithmetic Dijkstra's relaxations would use -- proves for a
 whole row at once that Dijkstra would keep every direct single-link
 path: the source relaxes all neighbours first, and no later relaxation
@@ -59,22 +58,12 @@ __all__ = [
     "PairRoute",
     "compile_graph",
     "compile_source_routes",
-    "shortest_path",
     "shortest_sized_path",
 ]
 
 #: Weight selectors of the two classification passes.
 WEIGHT_PROPAGATION = 0
 WEIGHT_TRANSFER = 1
-
-
-def _numpy_or_none():
-    """NumPy when importable, else ``None``."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a declared dep
-        return None
-    return numpy
 
 
 @dataclass(frozen=True)
@@ -115,8 +104,8 @@ class CompiledGraph:
     adjacency:
         ``adjacency[v] = [(u, propagation_s, inv_speed, speed_bps), ...]``
         in the *networkx adjacency order* of the underlying graph --
-        the order the lazy per-pair path relaxed neighbours in, which
-        the tie-counter semantics make observable.
+        the order networkx Dijkstra relaxes neighbours in, which the
+        tie-counter semantics make observable.
     """
 
     __slots__ = ("network", "names", "index", "adjacency")
@@ -158,9 +147,10 @@ class CompiledGraph:
     ) -> tuple[float, float]:
         """``(sum propagation, sum 1/speed)`` along *path* (index form).
 
-        The same left-to-right fold as
-        :meth:`repro.network.routing.Router._coefficients`, reading the
-        precomputed per-edge weights -- identical floats.
+        The left-to-right fold over the precomputed per-edge weights
+        (``1.0 / speed_bps`` per link, summed in path order): the
+        classification coefficients and the router's per-size fallback
+        prices both come from here.
         """
         propagation = 0.0
         transfer = 0.0
@@ -204,7 +194,7 @@ def _dijkstra(
     (:data:`WEIGHT_PROPAGATION` / :data:`WEIGHT_TRANSFER`); when
     *size_bits* is given the weight is instead the sized delivery time
     ``size_bits / speed_bps + propagation_s``, computed with exactly the
-    float operations the lazy router's sized lambda used. A *target*
+    float operations of the networkx sized-lambda query. A *target*
     stops the pass at the target's pop (the targeted-query fast path);
     without one the pass finalises every reachable node.
 
@@ -258,16 +248,6 @@ def _reconstruct(parent: list[int], source: int, target: int) -> tuple[int, ...]
     return tuple(path)
 
 
-def shortest_path(
-    graph: CompiledGraph, source: int, target: int, weight: int
-) -> tuple[int, ...]:
-    """The targeted single-pair query (early-stop Dijkstra)."""
-    dist, parent = _dijkstra(graph, source, weight, target=target)
-    if dist[target] is None:
-        raise _no_route(graph, source, target)
-    return _reconstruct(parent, source, target)
-
-
 def shortest_sized_path(
     graph: CompiledGraph, source: int, target: int, size_bits: float
 ) -> tuple[int, ...]:
@@ -308,8 +288,8 @@ def classify_pair(
 ) -> PairRoute:
     """The pinned dominance classification of one server pair.
 
-    Byte-identical to ``Router._build_route``'s branch order, which is
-    therefore the frozen tie-break contract:
+    The branch order is the frozen tie-break contract (pinned by the
+    routing property tests' per-pair oracle):
 
     1. ``transfer_zero <= transfer_large``: the min-propagation path
        also minimises the transfer coefficient -- size-independent,
@@ -383,19 +363,19 @@ class _DenseDominance:
 
 
 def dense_dominance(graph: CompiledGraph) -> "_DenseDominance | None":
-    """The dense fast-path certificate, or ``None`` when unavailable.
+    """The dense fast-path certificate, or ``None`` when it cannot apply.
 
-    Requires NumPy *and* a complete graph (the geo-factory shape); any
-    other topology -- or a NumPy-less interpreter -- routes every source
-    through the ordinary passes. The certificate is per ``(source,
-    weight)``: mixed graphs run Dijkstra only for the rows that need it.
+    Requires a complete graph (the geo-factory shape); any other
+    topology routes every source through the ordinary passes. The
+    certificate is per ``(source, weight)``: mixed graphs run Dijkstra
+    only for the rows that need it. NumPy is imported here, on first
+    use, so ``import repro`` does not load it.
     """
     if not graph.is_complete() or len(graph) < 3:
         return None
-    np = _numpy_or_none()
-    if np is None:
-        return None
-    return _DenseDominance(graph, np)
+    import numpy
+
+    return _DenseDominance(graph, numpy)
 
 
 def compile_source_routes(

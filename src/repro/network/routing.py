@@ -14,51 +14,44 @@ The delivery time of a fixed path is affine in the message size::
     time(path, size) = sum(propagation) + size * sum(1/speed)
 
 so a path that simultaneously minimises both coefficients is optimal for
-*every* message size. The router detects that (very common) case on the
-first query for a server pair and caches the two coefficients per
-``(source, target)`` -- after which any message size is answered in O(1)
-without touching Dijkstra and without growing the cache. Only genuinely
-size-dependent pairs (a short slow path versus a long fast one, where
-neither dominates) fall back to a bounded per-size cache.
+*every* message size. The router classifies every server pair and caches
+the two coefficients per ``(source, target)`` -- after which any message
+size is answered in O(1) without touching Dijkstra and without growing
+the cache. Only genuinely size-dependent pairs (a short slow path versus
+a long fast one, where neither dominates) fall back to a bounded
+per-size cache.
 
-Pair classification runs on the compiled kernel in
-:mod:`repro.network.apsp` -- integer-indexed adjacency with precomputed
-weights, networkx-faithful tie-breaking -- instead of per-query networkx
-lambdas, and each pair is *built in canonical direction* (the endpoint
-that comes first in the network's server order is the Dijkstra source)
-so that lazily-filled, batch-compiled and incrementally-refreshed caches
-hold bit-identical coefficients no matter which query arrived first.
-:meth:`Router.compile_all_pairs` fills the whole table in ``2 * (S - 1)``
-single-source passes (fewer when the dense fast path certifies rows of a
-complete graph) instead of ``S * (S - 1)`` targeted pair builds.
+The route table is *whole by construction*: the first query (every
+:class:`~repro.core.compiled.CompiledInstance` built over the router
+makes one) runs :meth:`Router.compile_all_pairs`, which classifies every
+pair on the compiled kernel in :mod:`repro.network.apsp` --
+integer-indexed adjacency with precomputed weights, networkx-faithful
+tie-breaking -- in at most ``2 * (S - 1)`` single-source passes (fewer
+when the dense fast path certifies rows of a complete graph). Each pair
+is *built in canonical direction* (the endpoint that comes first in the
+network's server order is the Dijkstra source), so the compiled and the
+incrementally-refreshed tables hold bit-identical coefficients.
 
 The router is the *single owner of path selection*: every route-delay
-consumer -- :class:`~repro.core.compiled.CompiledInstance`'s lazy
-route table (and through it ``CostModel``/``MoveEvaluator``/
-``BatchEvaluator``), the simulator, the fleet -- reads
-paths and affine coefficients from here, over arbitrary weighted graphs
-with heterogeneous per-link speeds and propagation delays. Nothing
-downstream assumes a uniform bus or a line; those are just the easy
-special cases.
+consumer -- :class:`~repro.core.compiled.CompiledInstance`'s route table
+(and through it ``CostModel``/``MoveEvaluator``/``BatchEvaluator``),
+the simulator, the fleet -- reads paths and affine coefficients from
+here, over arbitrary weighted graphs with heterogeneous per-link speeds
+and propagation delays. Nothing downstream assumes a uniform bus or a
+line; those are just the easy special cases.
 
 Cache effectiveness is observable through :attr:`Router.hits` /
 :attr:`Router.misses` / :attr:`Router.hit_rate`; recompute effort
 through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
 :attr:`Router.pairs_recomputed` and :attr:`Router.last_invalidation`.
 Link parameters may change at runtime (the fleet's link
-failure/degradation events). Two invalidation hooks exist:
-
-* :meth:`Router.clear_cache` -- the lazy hook: drop everything (and
-  reset the hit/miss counters, so :attr:`hit_rate` never blends pre- and
-  post-invalidation traffic); the next query re-runs Dijkstra against
-  the current links.
-* :meth:`Router.invalidate` -- the eager hook: recompute immediately.
-  Given ``changed_links`` and ``worsening=True`` it drops *only* the
-  pairs whose classification paths traverse a changed link (a strict
-  worsening cannot make an untouched path sub-optimal) and recomputes
-  just those; improvements or additions can re-route *any* pair, so
-  they always fall back to a full recompile. That asymmetry is the
-  core of link-scoped invalidation -- see DESIGN.md §15.
+failure/degradation events); :meth:`Router.invalidate` recomputes
+immediately. Given ``changed_links`` and ``worsening=True`` it drops
+*only* the pairs whose classification paths traverse a changed link (a
+strict worsening cannot make an untouched path sub-optimal) and
+recomputes just those; improvements or additions can re-route *any*
+pair, so they always fall back to a full recompile. That asymmetry is
+the core of link-scoped invalidation -- see DESIGN.md §15.
 
 Between mutations the network is treated as frozen.
 """
@@ -98,20 +91,21 @@ class Router:
     ----------
     network:
         The server network to route over. The router snapshots the
-        topology lazily on first query (into a
+        topology on first use (into a
         :class:`repro.network.apsp.CompiledGraph`) and assumes links do
-        not change until :meth:`clear_cache` or :meth:`invalidate`.
+        not change until :meth:`invalidate`.
 
     Attributes
     ----------
     hits, misses:
-        Cache counters over non-co-located :meth:`transmission_time` and
-        :meth:`path` queries: a *hit* is answered from the per-pair (or
-        per-size fallback) cache, a *miss* runs Dijkstra.
+        Cache counters over non-co-located queries: a *hit* is answered
+        from the per-pair (or per-size fallback) cache, a *miss* runs
+        Dijkstra -- the first query's whole-table compile, or one
+        per-size fallback pass.
     dijkstra_runs:
-        Cumulative single-source Dijkstra passes executed (lazy builds,
-        batched compiles and scoped recomputes alike) -- the unit of
-        routing work the benchmarks compare.
+        Cumulative single-source Dijkstra passes executed (table
+        compiles, per-size fallbacks and scoped recomputes alike) -- the
+        unit of routing work the benchmarks compare.
     pairs_invalidated, pairs_recomputed:
         Cumulative counts over :meth:`invalidate` calls: how many cached
         pairs were dropped, and how many were eagerly recomputed.
@@ -136,6 +130,7 @@ class Router:
         self._pair_paths: dict[
             tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]
         ] = {}
+        self._coefficient_rows = self._empty_rows()
         self._compiled_all = False
         self.hits = 0
         self.misses = 0
@@ -164,20 +159,28 @@ class Router:
             graph = self._graph = apsp.compile_graph(self._network)
         return graph
 
-    def _coefficients(self, nodes: tuple[str, ...]) -> tuple[float, float]:
-        """``(sum propagation, sum 1/speed)`` along *nodes*."""
-        propagation = 0.0
-        transfer = 0.0
-        for a, b in zip(nodes, nodes[1:]):
-            link = self._network.link(a, b)
-            propagation += link.propagation_s
-            transfer += 1.0 / link.speed_bps
-        return propagation, transfer
+    def _empty_rows(self) -> list[list[tuple[float, float] | tuple[()] | None]]:
+        """Coefficient rows with only the co-located diagonal filled."""
+        n = len(self._network.server_names)
+        rows: list[list[tuple[float, float] | tuple[()] | None]] = [
+            [None] * n for _ in range(n)
+        ]
+        for i in range(n):
+            rows[i][i] = (0.0, 0.0)
+        return rows
 
     def _store(
         self, a: str, b: str, record: apsp.PairRoute
     ) -> None:
         """Cache one classified canonical pair (both directions)."""
+        index = self._compiled_graph().index
+        coefficients = (
+            (record.propagation_s, record.transfer_s_per_bit)
+            if record.size_independent
+            else ()
+        )
+        self._coefficient_rows[index[a]][index[b]] = coefficients
+        self._coefficient_rows[index[b]][index[a]] = coefficients
         route = _Route(
             record.path,
             record.propagation_s,
@@ -204,40 +207,23 @@ class Router:
             self._link_pairs.setdefault(link, set()).add((a, b))
         self._pair_paths[(a, b)] = (record.zero_path, record.large_path)
 
-    def _build_route(self, source: str, target: str) -> _Route:
-        """Classify the (source, target) pair on its first query.
+    def _route(self, source: str, target: str) -> _Route:
+        """The classified route of a non-co-located pair (one query).
 
-        Runs Dijkstra twice -- once by propagation delay (the size-0
-        optimum) and once by transfer coefficient (the size-infinity
-        optimum). When one of the two paths minimises *both* affine
-        coefficients it is optimal for every message size and the pair is
-        cached as size-independent; otherwise neither path dominates and
-        per-size queries must fall back to Dijkstra.
-
-        The pair is always *built* from its canonical direction (network
-        server order), whichever way the query ran, so every code path
-        that can populate the cache produces identical floats.
+        A miss compiles the whole table: it only happens on a router
+        that has not been compiled yet, so the first query pays for
+        every pair and every later classified-pair query is a hit.
         """
-        graph = self._compiled_graph()
-        index = graph.index
-        a, b = source, target
-        if index[a] > index[b]:
-            a, b = b, a
-        try:
-            path_zero = apsp.shortest_path(
-                graph, index[a], index[b], apsp.WEIGHT_PROPAGATION
-            )
-            path_large = apsp.shortest_path(
-                graph, index[a], index[b], apsp.WEIGHT_TRANSFER
-            )
-        except apsp.DisconnectedNetworkError:
-            raise apsp.DisconnectedNetworkError(
-                f"no route from {source!r} to {target!r} in "
-                f"{self._network.name!r}"
-            ) from None
-        self.dijkstra_runs += 2
-        self._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
-        return self._route_cache[(source, target)]
+        route = self._route_cache.get((source, target))
+        if route is None:
+            self._network.server(source)
+            self._network.server(target)
+            self.misses += 1
+            self.compile_all_pairs()
+            route = self._route_cache[(source, target)]
+        elif route.size_independent:
+            self.hits += 1
+        return route
 
     def _sized_path(self, source: str, target: str, size_bits: float) -> tuple[str, ...]:
         """Per-size fallback for size-dependent pairs (bounded cache)."""
@@ -269,7 +255,11 @@ class Router:
         self._sized_path_cache[(target, source, size_bits)] = path[::-1]
 
     def _sized_time(self, path: tuple[str, ...], size_bits: float) -> float:
-        propagation, transfer = self._coefficients(path)
+        graph = self._compiled_graph()
+        index = graph.index
+        propagation, transfer = graph.coefficients(
+            tuple(index[name] for name in path)
+        )
         return propagation + size_bits * transfer
 
     # ------------------------------------------------------------------
@@ -286,12 +276,7 @@ class Router:
         self._network.server(target)
         if source == target:
             return (source,)
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self.misses += 1
-            route = self._build_route(source, target)
-        elif route.size_independent:
-            self.hits += 1
+        route = self._route(source, target)
         if route.size_independent:
             return route.path
         return self._sized_path(source, target, size_bits)
@@ -309,14 +294,7 @@ class Router:
         """
         if source == target:
             return 0.0
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self._network.server(source)
-            self._network.server(target)
-            self.misses += 1
-            route = self._build_route(source, target)
-        elif route.size_independent:
-            self.hits += 1
+        route = self._route(source, target)
         if route.size_independent:
             return route.time(size_bits)
         path = self._sized_path(source, target, size_bits)
@@ -347,14 +325,7 @@ class Router:
         for slot, (source, target) in enumerate(pairs):
             if source == target:
                 continue
-            route = self._route_cache.get((source, target))
-            if route is None:
-                self._network.server(source)
-                self._network.server(target)
-                self.misses += 1
-                route = self._build_route(source, target)
-            elif route.size_independent:
-                self.hits += 1
+            route = self._route(source, target)
             if route.size_independent:
                 times[slot] = route.time(size_bits)
                 continue
@@ -418,12 +389,7 @@ class Router:
         """
         if source == target:
             return (0.0, 0.0)
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self._network.server(source)
-            self._network.server(target)
-            self.misses += 1
-            route = self._build_route(source, target)
+        route = self._route(source, target)
         if route.size_independent:
             return (route.propagation_s, route.transfer_s_per_bit)
         return None
@@ -431,12 +397,26 @@ class Router:
     def cached_route(self, source: str, target: str) -> _Route | None:
         """The cached entry for a pair, without counting a query.
 
-        The bulk-refill accessor: after :meth:`compile_all_pairs` or
-        :meth:`invalidate` the compiled-instance route table reads every
-        pair through here so eager refreshes do not distort the
-        hit/miss telemetry of real pricing traffic.
+        ``None`` until the table is compiled.
         """
         return self._route_cache.get((source, target))
+
+    def coefficient_rows(
+        self,
+    ) -> list[list[tuple[float, float] | tuple[()] | None]]:
+        """The route table as dense rows, without counting a query.
+
+        ``rows[i][j]`` holds the ``(propagation_s, transfer_s_per_bit)``
+        pair of the servers at positions *i* and *j* of the network's
+        server order, ``()`` for a size-dependent pair (price it per
+        size through :meth:`transmission_time`), and ``None`` until the
+        table is compiled. Co-located entries are ``(0.0, 0.0)``. Both
+        directions share one tuple: canonical-direction builds make the
+        floats exact either way. The bulk-read form of the table for
+        :class:`~repro.core.compiled.CompiledInstance`; read-only -- copy
+        the rows, never mutate them.
+        """
+        return self._coefficient_rows
 
     def hop_count(self, source: str, target: str, size_bits: float = 0.0) -> int:
         """Number of links on the chosen route (0 when co-located)."""
@@ -450,34 +430,36 @@ class Router:
     # batched compilation and invalidation
     # ------------------------------------------------------------------
     def compile_all_pairs(self) -> int:
-        """Eagerly classify every server pair; returns pairs compiled.
+        """Classify every server pair; returns the pairs compiled.
 
         One batched sweep: at most two single-source Dijkstra passes per
         source server (the dense direct-dominance certificate skips
         whole passes on complete graphs), instead of two *targeted* runs
-        per pair. Already-cached pairs are kept -- their entries are
-        bit-identical to what recompilation would produce, because every
-        build path is canonical.
+        per pair. A table that is already whole -- compiled, and kept
+        whole by :meth:`invalidate` -- returns 0 at once. The table is
+        stored only once every pair classified, so a disconnected
+        network raises :class:`~repro.exceptions.DisconnectedNetworkError`
+        and leaves nothing half-filled.
         """
+        if self._compiled_all:
+            return 0
         graph = self._compiled_graph()
         names = graph.names
         dense = apsp.dense_dominance(graph)
-        compiled = 0
+        compiled: list[tuple[str, str, apsp.PairRoute]] = []
+        runs = 0
         for si in range(len(names) - 1):
-            targets = [
-                ti
-                for ti in range(si + 1, len(names))
-                if (names[si], names[ti]) not in self._route_cache
-            ]
-            if not targets:
-                continue
-            routes, runs = apsp.compile_source_routes(graph, si, targets, dense)
-            self.dijkstra_runs += runs
+            routes, source_runs = apsp.compile_source_routes(
+                graph, si, range(si + 1, len(names)), dense
+            )
+            runs += source_runs
             for ti, record in routes.items():
-                self._store(names[si], names[ti], record)
-                compiled += 1
+                compiled.append((names[si], names[ti], record))
+        self.dijkstra_runs += runs
+        for a, b, record in compiled:
+            self._store(a, b, record)
         self._compiled_all = True
-        return compiled
+        return len(compiled)
 
     def invalidate(
         self,
@@ -575,8 +557,8 @@ class Router:
         # pair's optimum at one size can be a third Pareto path through
         # a changed link while both classification paths avoid it -- so
         # the dropped pairs are reported alongside the recomputed ones,
-        # or eager consumers would restore the dropped sizes' old (now
-        # too optimistic) prices verbatim.
+        # or consumers would restore the dropped sizes' old (now too
+        # optimistic) prices verbatim.
         sized_dropped: set[tuple[str, str]] = set()
         stale = [
             key
@@ -643,27 +625,9 @@ class Router:
         self._link_pairs.clear()
         self._pair_links.clear()
         self._pair_paths.clear()
+        self._coefficient_rows = self._empty_rows()
         self._graph = None
         self._compiled_all = False
-
-    def clear_cache(self) -> None:
-        """Drop memoised routes: the lazy invalidation hook.
-
-        Call after mutating the network's links (or servers); the next
-        query re-runs Dijkstra against the current topology. The
-        hit/miss counters reset with the cache -- a post-invalidation
-        :attr:`hit_rate` describes post-invalidation traffic only, never
-        a blend (callers that want lifetime totals must accumulate
-        before clearing). The cumulative work counters
-        (:attr:`dijkstra_runs` and friends) are *not* reset; use
-        :meth:`reset_counters` for a full telemetry reset. Consumers
-        holding a :class:`~repro.core.compiled.CompiledInstance` should
-        call its ``invalidate_routes`` instead, which clears this cache
-        *and* resets the compiled route-delay table reading through it.
-        """
-        self._drop_all_routes()
-        self.hits = 0
-        self.misses = 0
 
     def reset_counters(self) -> None:
         """Zero every telemetry counter (caches are left alone)."""

@@ -2,7 +2,7 @@
 
 The parity property suite (``tests/properties/test_property_compiled``)
 pins the numeric behaviour against a pre-refactor oracle; these tests
-cover the artifact's structure -- index maps, tables, lazy caches --
+cover the artifact's structure -- index maps, tables, memoised caches --
 and the sharing contract: the cost model, the move evaluators, the
 simulation engine and the fleet must all consume the *same*
 ``CompiledInstance`` object.
@@ -26,7 +26,8 @@ from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.workflow import Message, NodeKind, Operation, Workflow
 from repro.exceptions import DeploymentError, UnknownServerError
-from repro.network.topology import bus_network
+from repro.network.routing import Router
+from repro.network.topology import ServerNetwork, bus_network, line_network
 from repro.simulation.engine import SimulationEngine
 from repro.service.state import FleetState
 from repro.workloads.generator import (
@@ -109,16 +110,16 @@ class TestCompilation:
             )
             assert compiled.ideal_cycles[j] == expected
 
-    def test_route_table_fills_lazily_with_affine_coefficients(
+    def test_route_table_is_filled_whole_with_affine_coefficients(
         self, instance
     ):
         _, _, compiled = instance
-        assert compiled.routes[0][0] == (0.0, 0.0)  # co-located prefill
-        assert compiled.routes[0][1] is None  # unresolved until queried
+        assert compiled.routes[0][0] == (0.0, 0.0)  # co-located
+        assert all(None not in row for row in compiled.routes)
         size = 8e6
         delay = compiled.delay(0, 1, size)
         coeff = compiled.routes[0][1]
-        assert coeff is not None and len(coeff) == 2
+        assert len(coeff) == 2
         assert delay == coeff[0] + size * coeff[1]
         assert delay == compiled.router.transmission_time("S1", "S2", size)
         assert compiled.delay(0, 0, size) == 0.0
@@ -164,6 +165,17 @@ class TestCompilation:
         with pytest.raises(DeploymentError, match="contains a cycle"):
             CompiledInstance(cyclic, network)
 
+    def test_router_over_another_server_order_rejected(self):
+        # the route table is read in the router's server order
+        workflow = xor_workflow()
+        network = bus_network((1e9, 2e9, 3e9), speed_bps=1e8)
+        reordered = ServerNetwork("reordered")
+        reordered.add_servers(
+            [network.server(name) for name in reversed(network.server_names)]
+        )
+        with pytest.raises(DeploymentError, match="same order"):
+            CompiledInstance(workflow, network, router=Router(reordered))
+
     def test_penalty_statistic_modes(self):
         values = [1.0, 3.0]
         assert penalty_statistic(values, "mad") == 1.0
@@ -182,6 +194,18 @@ class TestSharing:
         model = CostModel(workflow, network)
         assert isinstance(model.compiled, CompiledInstance)
         assert model.router is model.compiled.router
+
+    def test_shared_compiled_router_costs_no_dijkstra_runs(self):
+        workflow = xor_workflow()
+        network = line_network((2e9, 3e9, 4e9, 5e9), 1e8)
+        first = CompiledInstance(workflow, network)
+        router = first.router
+        runs = router.dijkstra_runs
+        assert runs > 0  # the first build compiled the whole table
+        second = CompiledInstance(workflow, network, router=router)
+        assert router.dijkstra_runs == runs
+        assert all(None not in row for row in second.routes)
+        assert second.routes == first.routes
 
     def test_from_compiled_shares_instead_of_recompiling(self, instance):
         _, _, compiled = instance

@@ -7,6 +7,7 @@ from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.experiments.stats import (
     comparison_table,
     summarize,
+    t_ppf,
     win_matrix,
 )
 
@@ -54,6 +55,35 @@ class TestSummarize:
     def test_format(self):
         text = summarize([0.001, 0.002]).format()
         assert "+/-" in text and "ms" in text
+
+
+class TestStudentT:
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_matches_scipy(self, confidence):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        probability = 0.5 + confidence / 2
+        for df in range(1, 201):
+            expected = float(scipy_stats.t.ppf(probability, df))
+            assert t_ppf(probability, df) == pytest.approx(
+                expected, rel=1e-10
+            )
+
+    def test_symmetric_about_the_median(self):
+        assert t_ppf(0.5, 7) == 0.0
+        assert t_ppf(0.1, 7) == -t_ppf(0.9, 7)
+
+    def test_closed_forms(self):
+        # df = 1 is the Cauchy distribution, df = 2 has a closed form too
+        assert t_ppf(0.975, 1) == pytest.approx(12.706204736174704, rel=1e-12)
+        assert t_ppf(0.975, 2) == pytest.approx(
+            0.95 / (2 * 0.975 * 0.025) ** 0.5, rel=1e-12
+        )
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ExperimentError):
+            t_ppf(1.0, 3)
+        with pytest.raises(ExperimentError):
+            t_ppf(0.9, 0)
 
 
 @pytest.fixture(scope="module")

@@ -51,13 +51,13 @@ class TestCompiledGraph:
 class TestDijkstra:
     def test_propagation_weight_prefers_low_latency(self):
         graph = apsp.compile_graph(_diamond())
-        path = apsp.shortest_path(graph, 0, 3, apsp.WEIGHT_PROPAGATION)
-        assert graph.to_names(path) == ("S0", "S2", "S3")
+        routes, _ = apsp.compile_source_routes(graph, 0, [3])
+        assert routes[3].zero_path == ("S0", "S2", "S3")
 
     def test_transfer_weight_prefers_fast_links(self):
         graph = apsp.compile_graph(_diamond())
-        path = apsp.shortest_path(graph, 0, 3, apsp.WEIGHT_TRANSFER)
-        assert graph.to_names(path) == ("S0", "S1", "S3")
+        routes, _ = apsp.compile_source_routes(graph, 0, [3])
+        assert routes[3].large_path == ("S0", "S1", "S3")
 
     def test_matches_networkx(self):
         import networkx as nx
@@ -70,9 +70,9 @@ class TestDijkstra:
             return network.link(a, b).propagation_s
 
         for source in range(4):
-            for target in range(4):
-                if source == target:
-                    continue
+            targets = [t for t in range(4) if t != source]
+            routes, _ = apsp.compile_source_routes(graph, source, targets)
+            for target in targets:
                 expected = tuple(
                     nx.dijkstra_path(
                         g,
@@ -81,19 +81,14 @@ class TestDijkstra:
                         weight=prop,
                     )
                 )
-                got = graph.to_names(
-                    apsp.shortest_path(
-                        graph, source, target, apsp.WEIGHT_PROPAGATION
-                    )
-                )
-                assert got == expected
+                assert routes[target].zero_path == expected
 
     def test_disconnected_raises(self):
         network = ServerNetwork("disc")
         network.add_servers([Server("A", 1e9), Server("B", 1e9)])
         graph = apsp.compile_graph(network)
         with pytest.raises(DisconnectedNetworkError):
-            apsp.shortest_path(graph, 0, 1, apsp.WEIGHT_PROPAGATION)
+            apsp.compile_source_routes(graph, 0, [1])
 
     def test_full_pass_equals_targeted_queries(self):
         graph = apsp.compile_graph(_diamond())
@@ -127,8 +122,8 @@ class TestClassification:
         graph = apsp.compile_graph(_diamond())
         baseline, _ = apsp.compile_source_routes(graph, 0, [1, 2, 3])
         zero_paths = {
-            target: apsp.shortest_path(
-                graph, 0, target, apsp.WEIGHT_PROPAGATION
+            target: tuple(
+                graph.index[name] for name in baseline[target].zero_path
             )
             for target in (1, 2, 3)
         }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import DisconnectedNetworkError, UnknownServerError
+from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import (
     Link,
@@ -116,14 +117,6 @@ class TestCaching:
         assert router.hits == 4
         assert router.hit_rate == pytest.approx(0.8)
 
-    def test_clear_cache(self, bus3):
-        router = Router(bus3)
-        router.transmission_time("S1", "S2", 8_000)
-        router.clear_cache()
-        assert router.cache_size() == 0
-        assert len(router._route_cache) == 0
-        assert len(router._sized_path_cache) == 0
-
     def test_times_scale_with_size(self, chain3):
         router = Router(chain3)
         t_small = router.transmission_time("S1", "S3", 1_000)
@@ -143,25 +136,6 @@ class TestCaching:
 
 
 class TestCounters:
-    def test_clear_cache_resets_hit_miss_counters(self, bus3):
-        # regression: clear_cache used to keep the old traffic counters,
-        # so post-invalidation hit rates blended pre-change traffic
-        router = Router(bus3)
-        for _ in range(3):
-            router.transmission_time("S1", "S2", 8_000)
-        assert (router.hits, router.misses) == (2, 1)
-        router.clear_cache()
-        assert (router.hits, router.misses) == (0, 0)
-        assert router.hit_rate == 0.0
-
-    def test_clear_cache_keeps_work_counters(self, bus3):
-        router = Router(bus3)
-        router.transmission_time("S1", "S2", 8_000)
-        runs = router.dijkstra_runs
-        assert runs > 0
-        router.clear_cache()
-        assert router.dijkstra_runs == runs
-
     def test_reset_counters_zeroes_everything(self, bus3):
         router = Router(bus3)
         router.transmission_time("S1", "S2", 8_000)
@@ -191,25 +165,63 @@ class TestCompileAllPairs:
         assert (router.hits, router.misses) == (1, 0)
 
     def test_compile_matches_lazy_fill(self, chain3):
-        lazy = Router(chain3)
+        # every pair equals its own per-source classification, built
+        # from the canonical (lower-index) endpoint
         batched = Router(chain3)
         batched.compile_all_pairs()
-        for a in chain3.server_names:
-            for b in chain3.server_names:
-                if a == b:
-                    continue
-                lazy.pair_coefficients(a, b)
-                left = lazy.cached_route(a, b)
-                right = batched.cached_route(a, b)
-                assert left.path == right.path
-                assert left.propagation_s == right.propagation_s
-                assert left.transfer_s_per_bit == right.transfer_s_per_bit
-                assert left.size_independent == right.size_independent
+        graph = apsp.compile_graph(chain3)
+        names = chain3.server_names
+        for si in range(len(names)):
+            targets = [ti for ti in range(si + 1, len(names))]
+            records, _ = apsp.compile_source_routes(graph, si, targets)
+            for ti in targets:
+                record = records[ti]
+                forward = batched.cached_route(names[si], names[ti])
+                backward = batched.cached_route(names[ti], names[si])
+                assert forward.path == record.path
+                assert backward.path == record.path[::-1]
+                for route in (forward, backward):
+                    assert route.propagation_s == record.propagation_s
+                    assert (
+                        route.transfer_s_per_bit == record.transfer_s_per_bit
+                    )
+                    assert route.size_independent == record.size_independent
 
     def test_compile_skips_cached_pairs(self, chain3):
+        # a table compiled by a query is whole: compiling again is free
         router = Router(chain3)
         router.pair_coefficients("S1", "S3")
-        assert router.compile_all_pairs() == 2
+        runs = router.dijkstra_runs
+        assert router.compile_all_pairs() == 0
+        assert router.dijkstra_runs == runs
+
+    def test_first_query_compiles_the_whole_table(self, chain3):
+        router = Router(chain3)
+        router.transmission_time("S1", "S2", 8_000)
+        assert (router.hits, router.misses) == (0, 1)
+        for a in chain3.server_names:
+            for b in chain3.server_names:
+                if a != b:
+                    assert router.cached_route(a, b) is not None
+        runs = router.dijkstra_runs
+        assert router.compile_all_pairs() == 0
+        assert router.dijkstra_runs == runs
+        # every later classified-pair query is a hit
+        router.transmission_time("S3", "S1", 8_000)
+        assert (router.hits, router.misses) == (1, 1)
+
+    def test_disconnected_network_fails_even_for_a_connected_pair(self):
+        # the first query compiles every pair, so an unreachable pair
+        # anywhere in the network fails it -- and leaves no half table
+        network = ServerNetwork("disc")
+        network.add_servers(
+            [Server("S1", 1e9), Server("S2", 1e9), Server("S3", 1e9)]
+        )
+        network.connect("S1", "S2", 1e6)
+        router = Router(network)
+        with pytest.raises(DisconnectedNetworkError):
+            router.transmission_time("S1", "S2", 8_000)
+        assert router.cached_route("S1", "S2") is None
 
     def test_cached_route_does_not_count_traffic(self, bus3):
         router = Router(bus3)

@@ -18,7 +18,10 @@ parity suites compare the production code against:
 * :func:`use_route_invalidation` -- the ``eager`` and ``lazy``
   route-invalidation policies of
   :class:`~repro.service.state.FleetState`, which production replaced
-  with link-scoped invalidation.
+  with link-scoped invalidation. The ``lazy`` policy carries the
+  retired per-pair route fill with it: :func:`lazy_router` classifies
+  one pair per cache miss with two targeted Dijkstra queries, and the
+  compiled route tables resolve each slot on first read.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ from repro.algorithms.runtime import SearchStep
 from repro.core.batch import BatchScores
 from repro.core.compiled import CompiledInstance
 from repro.core.mapping import Deployment
+from repro.network import apsp
 
 __all__ = [
     "FullEvaluationHillClimbing",
     "FullEvaluationSimulatedAnnealing",
     "ScalarBatchEvaluator",
+    "lazy_router",
     "scalar_pricing",
     "use_route_invalidation",
 ]
@@ -193,12 +198,102 @@ def _invalidate_eager(
         model.compiled.refresh_routes(affected)
 
 
+def _shortest_path(graph, source, target, weight):
+    """The retired ``apsp.shortest_path``: one targeted Dijkstra query."""
+    dist, parent = apsp._dijkstra(graph, source, weight, target=target)
+    if dist[target] is None:
+        raise apsp._no_route(graph, source, target)
+    return apsp._reconstruct(parent, source, target)
+
+
+def _build_route(router, source, target):
+    """The retired ``Router._build_route``: classify one pair on its own.
+
+    Two targeted runs from the pair's canonical (lower-index) endpoint,
+    so the stored floats equal the whole-table compile's.
+    """
+    graph = router._compiled_graph()
+    index = graph.index
+    a, b = source, target
+    if index[a] > index[b]:
+        a, b = b, a
+    path_zero = _shortest_path(
+        graph, index[a], index[b], apsp.WEIGHT_PROPAGATION
+    )
+    path_large = _shortest_path(
+        graph, index[a], index[b], apsp.WEIGHT_TRANSFER
+    )
+    router.dijkstra_runs += 2
+    router._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
+    return router._route_cache[(source, target)]
+
+
+def _lazy_route(router, source, target):
+    """``Router._route`` with the retired per-pair miss path."""
+    route = router._route_cache.get((source, target))
+    if route is None:
+        router._network.server(source)
+        router._network.server(target)
+        router.misses += 1
+        route = _build_route(router, source, target)
+    elif route.size_independent:
+        router.hits += 1
+    return route
+
+
+def lazy_router(router):
+    """Make *router* classify one pair per cache miss; returns it."""
+    router._route = partial(_lazy_route, router)
+    return router
+
+
+class _LazyRouteRow(list):
+    """One row of the retired lazy route table.
+
+    Slots start as ``None`` and resolve through the router's
+    ``pair_coefficients`` on first read, as the retired
+    ``CompiledInstance._resolve_route`` did.
+    """
+
+    def __init__(self, compiled, source):
+        super().__init__([None] * compiled.num_servers)
+        self[source] = (0.0, 0.0)
+        self.compiled = compiled
+        self.source = source
+
+    def __getitem__(self, target):
+        coeff = list.__getitem__(self, target)
+        if coeff is None:
+            names = self.compiled.server_names
+            coeff = self.compiled.router.pair_coefficients(
+                names[self.source], names[target]
+            )
+            if coeff is None:
+                coeff = ()  # size-dependent pair: router answers per size
+            self[target] = coeff
+        return coeff
+
+
+def _reset_routes(compiled):
+    """The retired ``CompiledInstance.reset_routes``: a lazy route table."""
+    compiled.routes = [
+        _LazyRouteRow(compiled, i) for i in range(compiled.num_servers)
+    ]
+    compiled._batch = None
+    if compiled.transition_aware:
+        compiled.migration_table = compiled._compile_migration_table()
+
+
 def _invalidate_lazy(state, *_args, **_kwargs):
     """``FleetState._invalidate_routes`` in the retired ``lazy`` mode."""
     state.epoch += 1
-    state._router.clear_cache()
+    router = lazy_router(state._router)
+    # the retired Router.clear_cache: drop every route, reset traffic
+    router._drop_all_routes()
+    router.hits = 0
+    router.misses = 0
     for model in state._cost_models.values():
-        model.compiled.reset_routes()
+        _reset_routes(model.compiled)
 
 
 _INVALIDATION_ORACLES = {"eager": _invalidate_eager, "lazy": _invalidate_lazy}

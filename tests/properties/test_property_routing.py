@@ -11,12 +11,14 @@ unnoticed:
 * **Classification parity** -- on random continuous-weight networks,
   heterogeneous detour topologies, the bundled Abilene backbone and
   seeded geo fleets: ``compile_all_pairs`` (dense fast path included)
-  and the lazy query path both match the oracle's path, coefficients
-  and size-independence flag exactly, for every *canonical* pair --
+  and the query-triggered compile both match the oracle's path,
+  coefficients and size-independence flag exactly, for every
+  *canonical* pair --
   and reverse queries return the same floats with the reversed path
   (the canonical-direction build rule).
 * **Sized parity** -- per-size fallback paths equal the oracle's sized
-  networkx query.
+  networkx query, and their delivery times the oracle's coefficient
+  fold to the last bit.
 * **Invalidation equivalence** -- after random sequences of worsenings
   and improvements, link-scoped invalidation, full invalidation and a
   fresh compile agree exactly on every pair.
@@ -161,8 +163,9 @@ def test_lazy_queries_match_oracle_on_random_networks(seed):
     router = Router(network)
     rng = random.Random(seed + 1)
     names = list(network.server_names)
-    # query in random order and direction: the canonical build rule
-    # must make the cache identical no matter who asked first
+    # query in random order and direction: whichever pair asks first
+    # compiles the table, and the canonical build rule must make it
+    # identical no matter who asked first
     pairs = [(a, b) for a in names for b in names if a != b]
     rng.shuffle(pairs)
     for a, b in pairs:
@@ -193,11 +196,24 @@ def test_sized_paths_match_oracle(seed, size):
     network = random_network(seed)
     router = Router(network)
     names = network.server_names
+    index = {name: i for i, name in enumerate(names)}
     for a in names:
         for b in names:
             if a != b:
-                assert router.path(a, b, size) == _oracle_sized_path(
-                    network, a, b, size
+                expected = _oracle_sized_path(network, a, b, size)
+                assert router.path(a, b, size) == expected
+                # the delivery time folds the same links in the same
+                # order as the oracle's coefficients: identical floats
+                # (a classified pair folds its canonical direction, a
+                # per-size fallback the queried one)
+                fold = expected
+                if router.cached_route(a, b).size_independent and (
+                    index[a] > index[b]
+                ):
+                    fold = expected[::-1]
+                propagation, transfer = _oracle_coefficients(network, fold)
+                assert router.transmission_time(a, b, size) == (
+                    propagation + size * transfer
                 )
 
 

@@ -1,6 +1,10 @@
 """Integration tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -632,3 +636,40 @@ class TestBudgetFlags:
         out = capsys.readouterr().out
         assert "search[SimulatedAnnealing]:" in out
         assert "search[HillClimbing]:" in out
+
+
+class TestWithoutScipy:
+    """SciPy is a test extra only: the installed CLI must not need it."""
+
+    def _run_blocked(self, code):
+        # ``sys.modules['scipy'] = None`` makes every scipy import fail
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             "sys.modules['scipy'] = None\n" + code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_packages_import(self):
+        completed = self._run_blocked(
+            "import repro, repro.cli, repro.service\n"
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_help_runs(self):
+        completed = self._run_blocked(
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    sys.exit(exc.code)\n"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "usage" in completed.stdout
