@@ -108,7 +108,8 @@ class IncrementalHillClimbing(HillClimbing):
                     best_value, current.copy, evals=evals, rejected=evals
                 )
                 break
-            evaluator.apply(*best_move)
+            evaluator.propose(*best_move)
+            evaluator.commit()
             yield SearchStep(
                 best_value,
                 current.copy,

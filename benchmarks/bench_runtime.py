@@ -108,7 +108,8 @@ def _legacy_hill_climbing_incremental(instance, rng):
                     best_move = (operation, server)
         if best_move is None:
             break
-        evaluator.apply(*best_move)
+        evaluator.propose(*best_move)
+        evaluator.commit()
     return current
 
 

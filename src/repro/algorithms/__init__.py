@@ -43,8 +43,8 @@ The search runtime (:mod:`repro.algorithms.runtime`)
 
 The parallel layer (:mod:`repro.parallel`)
     :func:`~repro.parallel.deploy_parallel` shards one algorithm across
-    worker processes (seeded restarts, GA islands, partitioned hill
-    climbing) and :func:`~repro.parallel.race_portfolio` races a
+    worker processes (seeded restarts or GA islands) and
+    :func:`~repro.parallel.race_portfolio` races a
     portfolio of algorithms under one shared budget; both are
     re-exported here for convenience.
 """

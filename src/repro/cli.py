@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan",
         choices=PLAN_KINDS,
         default=None,
-        help="how to shard with --workers: seeded restarts, GA islands, "
-        "or a partitioned cooperative climb (default: per-algorithm)",
+        help="how to shard with --workers: seeded restarts or GA "
+        "islands (default: islands for Genetic, restarts otherwise)",
     )
     deploy.add_argument(
         "--portfolio",

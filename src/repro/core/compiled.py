@@ -451,9 +451,7 @@ class CompiledInstance:
         powers and the workflow must be unchanged (those invalidate the
         whole artifact -- recompile instead). Callers holding
         ``MoveEvaluator`` running state over this
-        instance must rebuild (or ``resync``) them; the fleet's
-        rebalancer constructs them per round, so it gets fresh delays
-        automatically.
+        instance must rebuild (or ``resync``) them.
         """
         if self.network.server_names != self.server_names:
             raise DeploymentError(

@@ -1,12 +1,12 @@
-"""Incremental move evaluation for deployment search.
+"""Incremental move evaluation for one-at-a-time search proposals.
 
-Every search algorithm in this repository explores the *move*
-neighbourhood -- relocate one operation to another server -- but the
+Simulated annealing walks the *move* neighbourhood -- relocate one
+operation to another server -- one proposal at a time, but the
 :class:`~repro.core.cost.CostModel` prices each candidate from scratch:
 two O(M) validation passes, a full load recompute and a complete forward
 pass over the DAG, even though a single move only perturbs the moved
-operation's region. This module provides the cheap per-candidate
-evaluation that makes search over deployment spaces tractable at scale:
+operation's region. This module provides the cheap per-proposal
+evaluation that makes such a walk tractable at scale:
 
 :class:`MoveEvaluator`
     Attaches once to a ``(CostModel, Deployment)`` pair -- validating a
@@ -18,9 +18,13 @@ evaluation that makes search over deployment spaces tractable at scale:
     shifts), and a dirty-region forward pass that recomputes ``finish()``
     only for the moved operation's descendants.
 
-Algorithms that price complete candidate mappings (genetic genomes,
-sampler draws, hill-climbing neighbourhoods) use the batch kernel of
-:mod:`repro.core.batch`, and branch-and-bound leaves call
+Its one production consumer is
+:class:`~repro.algorithms.local_search.SimulatedAnnealing`. Everything
+that prices many candidates and picks the best (genetic genomes,
+sampler draws, hill-climbing neighbourhoods, fleet rebalance moves)
+uses the batch kernel of :mod:`repro.core.batch`: the evaluator's
+running load sums drift by ulps, and in a best-improvement sweep that
+drift can change which move wins. Branch-and-bound leaves call
 :meth:`~repro.core.compiled.CompiledInstance.components` directly.
 
 The evaluator borrows the cost model's
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost import CostBreakdown, CostModel
+from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import DeploymentError
 
@@ -51,7 +55,7 @@ __all__ = ["MoveEvaluator", "MoveOutcome"]
 
 #: Commits between full load-table resyncs (bounds floating-point drift
 #: of the running sums; the forward pass needs no resync -- it is exact).
-DEFAULT_RESYNC_INTERVAL = 256
+RESYNC_INTERVAL = 256
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,10 @@ class MoveEvaluator:
     Attaches to a ``(cost_model, deployment)`` pair; the deployment is
     validated exactly once, here. After attachment the evaluator owns
     the move lifecycle: query candidates with :meth:`propose` (no
-    mutation), make the last proposal real with :meth:`commit` (which
-    also updates the attached :class:`~repro.core.mapping.Deployment`
-    in place), or do both with :meth:`apply`. Mutating the deployment
-    behind the evaluator's back desynchronises it -- call
+    mutation), then make the last proposal real with :meth:`commit`
+    (which also updates the attached
+    :class:`~repro.core.mapping.Deployment` in place). Mutating the
+    deployment behind the evaluator's back desynchronises it -- call
     :meth:`resync` if that cannot be avoided.
 
     All static problem data -- index maps, ``Tproc``, route-delay
@@ -107,28 +111,15 @@ class MoveEvaluator:
     deployment:
         A complete mapping; taken over (and kept in sync) by the
         evaluator.
-    resync_interval:
-        Commits between from-scratch load-table recomputations, bounding
-        running-sum floating-point drift. ``0`` disables resyncs.
     """
 
-    def __init__(
-        self,
-        cost_model: CostModel,
-        deployment: Deployment,
-        resync_interval: int = DEFAULT_RESYNC_INTERVAL,
-    ):
-        if resync_interval < 0:
-            raise DeploymentError("resync_interval must be >= 0")
+    def __init__(self, cost_model: CostModel, deployment: Deployment):
         deployment.validate(cost_model.workflow, cost_model.network)
         self.cost_model = cost_model
         self.compiled = cost_model.compiled
         self.deployment = deployment
-        self.resync_interval = resync_interval
         self._pending: tuple | None = None
         self._commits_since_resync = 0
-        #: Number of :meth:`propose` evaluations answered (diagnostics).
-        self.proposals = 0
         self.resync()
 
     # ------------------------------------------------------------------
@@ -138,7 +129,7 @@ class MoveEvaluator:
         """Recompute every running table from the attached deployment.
 
         Called on attach, after external deployment mutation, and
-        periodically (every *resync_interval* commits) to squash
+        periodically (every :data:`RESYNC_INTERVAL` commits) to squash
         running-sum drift.
         """
         compiled = self.compiled
@@ -150,8 +141,6 @@ class MoveEvaluator:
             cycles[self._servers[op]] += wcycles[op]
         self._cycles = cycles
         self._finish: list[float] = compiled.forward_pass(self._servers)
-        self._proc_total = compiled.processing_time(self._servers)
-        self._comm_total = compiled.communication_time(self._servers)
         # load values as a positional list (cost-model server order) so a
         # proposal can patch two slots instead of rebuilding the list
         power = compiled.power
@@ -194,37 +183,6 @@ class MoveEvaluator:
         """Total migration cost vs the baseline (0.0 when not aware)."""
         return self._migration
 
-    def response_times(self) -> dict[str, float]:
-        """Per-operation finish times (a copy of the running table)."""
-        compiled = self.compiled
-        finish = self._finish
-        return {compiled.op_names[op]: finish[op] for op in compiled.order}
-
-    def loads(self) -> dict[str, float]:
-        """Per-server load in seconds (from the running cycle sums)."""
-        compiled = self.compiled
-        return {
-            compiled.server_names[j]: self._cycles[j] / compiled.power[j]
-            for j in range(compiled.num_servers)
-        }
-
-    def breakdown(self) -> CostBreakdown:
-        """A full :class:`~repro.core.cost.CostBreakdown`, incrementally.
-
-        Matches :meth:`CostModel.evaluate` on the attached deployment
-        (to within running-sum drift, see the module docstring).
-        """
-        return CostBreakdown(
-            execution_time=self._execution,
-            time_penalty=self._penalty,
-            objective=self._objective,
-            loads=self.loads(),
-            communication_time=self._comm_total,
-            processing_time=self._proc_total,
-            response_times=self.response_times(),
-            migration_cost=self._migration,
-        )
-
     # ------------------------------------------------------------------
     # the move lifecycle
     # ------------------------------------------------------------------
@@ -252,7 +210,6 @@ class MoveEvaluator:
             )
             self._pending = None
             return outcome
-        self.proposals += 1
         priced = self._price(op, target, source)
         objective, execution, penalty = priced[0], priced[1], priced[2]
         outcome = MoveOutcome(
@@ -269,13 +226,11 @@ class MoveEvaluator:
         return outcome
 
     def propose_value(self, operation: str, server: str) -> float:
-        """Scalar objective of the move -- the scan-loop fast path.
+        """Scalar objective of the move, without a :class:`MoveOutcome`.
 
         Same float results as :meth:`propose`, but nothing is packaged
-        into a :class:`MoveOutcome` and nothing is cached for
-        :meth:`commit` (any previously pending move is dropped). Use it
-        for neighbourhood scans that only compare objectives and
-        re-:meth:`propose` the winner.
+        and nothing is cached for :meth:`commit` (any previously pending
+        move is dropped).
         """
         compiled = self.compiled
         op = compiled.op_index[operation]
@@ -288,7 +243,6 @@ class MoveEvaluator:
         source = self._servers[op]
         if target == source:
             return self._objective
-        self.proposals += 1
         return self._price(op, target, source)[0]
 
     def _price(self, op: int, target: int, source: int):
@@ -425,9 +379,7 @@ class MoveEvaluator:
             migration,
         ) = self._pending
         self._pending = None
-        compiled = self.compiled
-        servers = self._servers
-        servers[op] = target
+        self._servers[op] = target
         self.deployment.assign(outcome.operation, outcome.server)
         finish = self._finish
         for node, value in new_finish.items():
@@ -436,43 +388,11 @@ class MoveEvaluator:
         self._cycles[target] = target_cycles
         self._loads_list[source] = source_load
         self._loads_list[target] = target_load
-        # diagnostics totals: O(degree) message + O(1) processing deltas
-        tproc_row = compiled.tproc[op]
-        self._proc_total += compiled.node_prob[op] * (
-            tproc_row[target] - tproc_row[source]
-        )
-        delay = compiled.delay
-        for src, size_bits, weight in compiled.incoming[op]:
-            src_server = servers[src]
-            self._comm_total += weight * (
-                delay(src_server, target, size_bits)
-                - delay(src_server, source, size_bits)
-            )
-        for dst, size_bits, weight in compiled.outgoing[op]:
-            dst_server = servers[dst]
-            self._comm_total += weight * (
-                delay(target, dst_server, size_bits)
-                - delay(source, dst_server, size_bits)
-            )
         self._execution = outcome.execution_time
         self._penalty = outcome.time_penalty
         self._objective = outcome.objective
         self._migration = migration
         self._commits_since_resync += 1
-        if (
-            self.resync_interval
-            and self._commits_since_resync >= self.resync_interval
-        ):
+        if self._commits_since_resync >= RESYNC_INTERVAL:
             self.resync()
-        return outcome
-
-    def apply(self, operation: str, server: str) -> MoveOutcome:
-        """:meth:`propose` + :meth:`commit` in one call.
-
-        A no-op (returned outcome has ``delta == 0``) when the operation
-        already lives on *server*.
-        """
-        outcome = self.propose(operation, server)
-        if self._pending is not None:
-            self.commit()
         return outcome

@@ -37,7 +37,6 @@ from repro.experiments.multi_workflow import (
     deploy_workflows,
 )
 from repro.experiments.failover import (
-    remove_server,
     replace_orphans,
     analyze_failure,
     FailureReport,
@@ -86,7 +85,6 @@ __all__ = [
     "combine_workflows",
     "deploy_workflows",
     "ascii_scatter",
-    "remove_server",
     "replace_orphans",
     "analyze_failure",
     "FailureReport",

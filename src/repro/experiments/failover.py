@@ -26,42 +26,16 @@ from repro.algorithms.base import DeploymentAlgorithm
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.mapping import Deployment
 from repro.core.workflow import Workflow
-from repro.exceptions import ExperimentError, UnknownServerError
+from repro.exceptions import UnknownServerError
 from repro.experiments.reporting import TextTable, format_seconds
-from repro.network.topology import ServerNetwork
+from repro.network.topology import ServerNetwork, remove_server
 
 __all__ = [
-    "remove_server",
     "replace_orphans",
     "analyze_failure",
     "FailureReport",
     "failover_table",
 ]
-
-
-def remove_server(network: ServerNetwork, server_name: str) -> ServerNetwork:
-    """A copy of *network* without *server_name* and its links.
-
-    The copy keeps the topology kind; a bus stays a (smaller) bus, while
-    removing an interior line server disconnects the network -- the cost
-    model will reject that, which is the correct physical answer.
-    """
-    network.server(server_name)  # raise early on unknown names
-    if len(network) <= 1:
-        raise ExperimentError(
-            f"cannot remove {server_name!r}: it is the only server"
-        )
-    survivor = ServerNetwork(
-        f"{network.name}-minus-{server_name}",
-        topology_kind=network.topology_kind,
-    )
-    for server in network.servers:
-        if server.name != server_name:
-            survivor.add_server(server)
-    for link in network.links:
-        if server_name not in link.endpoints:
-            survivor.add_link(link)
-    return survivor
 
 
 def replace_orphans(

@@ -17,6 +17,7 @@ from repro.network.topology import (
     ring_network,
     random_network,
     full_mesh_network,
+    remove_server,
 )
 from repro.network.routing import Router
 
@@ -30,5 +31,6 @@ __all__ = [
     "ring_network",
     "random_network",
     "full_mesh_network",
+    "remove_server",
     "Router",
 ]

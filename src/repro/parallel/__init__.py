@@ -2,9 +2,9 @@
 
 A fan-out layer over the serial anytime
 :class:`~repro.algorithms.runtime.SearchRuntime`: shard one algorithm
-across worker processes (seeded restarts, GA islands with ring
-migration, partitioned-neighbourhood hill climbing) or race a portfolio
-of algorithms under one shared evaluation/deadline budget with
+across worker processes (seeded restarts or GA islands with ring
+migration) or race a portfolio of algorithms under one shared
+evaluation/deadline budget with
 cooperative cancellation and a merged anytime report. Deterministic by
 construction -- worker RNG streams are pure functions of the root seed
 and each worker's structural position, and budget shares are

@@ -2,8 +2,8 @@
 
 :func:`deploy_parallel`
     One algorithm, sharded across workers under its
-    :class:`~repro.parallel.specs.ShardPlan` (parallel seeded restarts,
-    GA islands, or a partitioned cooperative climb).
+    :class:`~repro.parallel.specs.ShardPlan` (parallel seeded restarts
+    or GA islands).
 :func:`race_portfolio`
     Many algorithms racing under one shared budget -- the portfolio
     pattern: constructive seeds fanned into polishers, first target hit
@@ -41,7 +41,6 @@ from repro.parallel.runtime import (
     ParallelRuntime,
     WorkerRun,
     islands,
-    partition,
     race,
 )
 from repro.parallel.specs import (
@@ -143,28 +142,6 @@ def _ga_parameters(
     return params, algorithm.generations
 
 
-def _partition_seed_name(
-    entry: "AlgorithmSpec | DeploymentAlgorithm",
-) -> str | None:
-    """The constructive start of a partitioned climb (or random)."""
-    from repro.algorithms.local_search import HillClimbing
-
-    if isinstance(entry, AlgorithmSpec):
-        if entry.name != "HillClimbing":
-            raise AlgorithmError(
-                "the partition plan applies to HillClimbing only, "
-                f"got {spec_label(entry)!r}"
-            )
-        return entry.seed_algorithm
-    if not isinstance(entry, HillClimbing):
-        raise AlgorithmError(
-            "the partition plan applies to HillClimbing only, "
-            f"got {spec_label(entry)!r}"
-        )
-    seed_algorithm = entry.seed_algorithm
-    return None if seed_algorithm is None else seed_algorithm.name
-
-
 def deploy_parallel(
     algorithm: "AlgorithmSpec | DeploymentAlgorithm | str",
     workflow: Workflow,
@@ -212,6 +189,7 @@ def deploy_parallel(
     if workers is None:
         workers = runtime.workers if runtime is not None else default_workers()
     SearchBudget.validate_count("workers", workers)
+    shard_plan = ShardPlan.coerce(plan)
     if workers == 1 and runtime is None:
         return _serial_outcome(
             entry,
@@ -224,7 +202,6 @@ def deploy_parallel(
             clock,
         )
     seed = require_spawnable_seed(seed)
-    shard_plan = ShardPlan.coerce(plan)
     if shard_plan is None:
         shard_plan = auto_plan(entry.name)
     payload = payload_from(workflow, network, cost_model)
@@ -240,22 +217,6 @@ def deploy_parallel(
                 seed,
                 generations,
                 ga_params,
-                shard_plan,
-                budget=budget,
-                target_value=target_value,
-                cancel=cancel,
-            )
-        if shard_plan.kind == "partition":
-            return partition(
-                runtime,
-                payload,
-                workflow,
-                network,
-                cost_model if cost_model is not None else CostModel(
-                    workflow, network
-                ),
-                seed,
-                _partition_seed_name(entry),
                 shard_plan,
                 budget=budget,
                 target_value=target_value,

@@ -8,7 +8,7 @@ fan-out with a parent-side watchdog loop that propagates external
 cancellation and the global deadline into the shared
 :class:`~repro.parallel.budget.BudgetLedger`, and result merging.
 
-Three sharding protocols run on top of it (see DESIGN §11):
+Two sharding protocols run on top of it (see DESIGN §11):
 
 :func:`race`
     Independent full searches -- parallel seeded restarts of one
@@ -24,12 +24,6 @@ Three sharding protocols run on top of it (see DESIGN §11):
     genomes; budgets are re-sliced each round from the ledger's actual
     spend (deterministic, because rounds are barriers and workers flush
     exact totals).
-:func:`partition`
-    One cooperative hill-climbing trajectory: each sweep, every worker
-    scans the single-operation moves of its own operation partition
-    (``ops[w::workers]``), the coordinator applies the globally best
-    strict improvement (ties to the lowest worker index) and
-    broadcasts the updated server vector.
 
 Everything returns a :class:`ParallelOutcome`: the winning deployment,
 its objective, a merged serial-shaped
@@ -45,7 +39,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.algorithms.base import DeploymentAlgorithm, get_algorithm
+from repro.algorithms.base import DeploymentAlgorithm
 from repro.algorithms.runtime import (
     STOP_CANCELLED,
     STOP_DEADLINE,
@@ -58,7 +52,6 @@ from repro.algorithms.runtime import (
 )
 from repro.core.clock import MONOTONIC, Clock
 from repro.core.mapping import Deployment
-from repro.core.rng import coerce_rng
 from repro.parallel.budget import (
     DEFAULT_FLUSH_EVERY,
     STOP_TARGET,
@@ -72,10 +65,8 @@ from repro.parallel.specs import AlgorithmSpec, ShardPlan
 from repro.parallel.worker import (
     InstancePayload,
     IslandTask,
-    PartitionTask,
     SearchTask,
     run_island_task,
-    run_partition_scan,
     run_search_task,
 )
 
@@ -86,7 +77,6 @@ __all__ = [
     "ParallelOutcome",
     "race",
     "islands",
-    "partition",
     "merge_curves",
 ]
 
@@ -110,7 +100,7 @@ class ParallelReport:
     """Structured account of one parallel run.
 
     ``runs`` holds one entry per logical worker position (racer,
-    island, or partition), in deterministic plan order -- never in
+    or island), in deterministic plan order -- never in
     completion order. ``winner`` indexes into it.
     """
 
@@ -237,7 +227,7 @@ class ParallelRuntime:
     ----------
     workers:
         Logical worker count: pool size, and the shard width every plan
-        uses (number of racers/islands/partitions). Must be >= 1.
+        uses (number of racers/islands). Must be >= 1.
     inline:
         When true, no processes are created: tasks run sequentially in
         the parent, in task order, against an
@@ -593,142 +583,6 @@ def islands(
     ]
     return _merged_outcome(
         "islands",
-        runtime.workers,
-        runs,
-        ledger,
-        budget,
-        runtime.clock() - start,
-    )
-
-
-def partition(
-    runtime: ParallelRuntime,
-    payload: InstancePayload,
-    workflow,
-    network,
-    cost_model,
-    seed,
-    seed_algorithm_name: str | None,
-    plan: ShardPlan,
-    budget: SearchBudget | None = None,
-    target_value: float | None = None,
-    cancel: CancelToken | None = None,
-) -> ParallelOutcome:
-    """Partitioned-neighbourhood cooperative hill climbing.
-
-    The coordinator holds the single trajectory (a server-index
-    vector); each sweep fans the ``M x (N - 1)`` move scan out by
-    operation partition and applies the globally best strict
-    improvement. Workers price moves with the incremental
-    :class:`~repro.core.incremental.MoveEvaluator`, whose values can
-    differ from a full evaluation in the last ulp, while serial
-    :class:`~repro.algorithms.local_search.HillClimbing` prices with
-    the batch kernel (full-evaluation floats). The two climbs therefore
-    take the same kind of steps but may pick different moves on some
-    instances and end at different local optima.
-    """
-    start = runtime.clock()
-    num_workers = runtime.workers
-    max_evals = budget.max_evals if budget is not None else None
-    ledger = runtime.make_ledger(max_evals)
-    deadline_at = (
-        start + budget.deadline_s
-        if budget is not None and budget.deadline_s is not None
-        else None
-    )
-    start_rng = coerce_rng(spawn_seed(seed, "start"))
-    if seed_algorithm_name is not None:
-        starting = get_algorithm(seed_algorithm_name)().deploy(
-            workflow, network, cost_model=cost_model, rng=start_rng
-        )
-    else:
-        starting = Deployment.random(workflow, network, start_rng)
-    compiled = cost_model.compiled
-    servers = compiled.server_vector(starting)
-    current_value = cost_model.objective(starting)
-    ledger.record(1)
-    partitions = [
-        tuple(range(compiled.num_ops))[w::num_workers]
-        for w in range(num_workers)
-    ]
-    worker_evals = [0] * num_workers
-    worker_accepted = [0] * num_workers
-    curve: list[tuple[int, Any]] = [(1, current_value)]
-    rounds = 0
-    stop_reason = STOP_EXHAUSTED
-    for _ in range(plan.max_rounds):
-        if cancel is not None and cancel.cancelled:
-            ledger.request_stop(STOP_CANCELLED)
-        if deadline_at is not None and runtime.clock() >= deadline_at:
-            ledger.request_stop(STOP_DEADLINE)
-        if target_value is not None and current_value <= target_value:
-            ledger.request_stop(STOP_TARGET)
-        if ledger.stop_requested:
-            stop_reason = ledger.stop_reason
-            break
-        if max_evals is not None and ledger.evaluations >= max_evals:
-            stop_reason = STOP_MAX_EVALS
-            break
-        tasks = [
-            PartitionTask(
-                index=worker,
-                payload=payload,
-                servers=tuple(servers),
-                operations=partitions[worker],
-                flush_every=runtime.flush_every,
-            )
-            for worker in range(num_workers)
-            if partitions[worker]
-        ]
-        results = runtime.execute(
-            run_partition_scan, tasks, ledger, deadline_at, cancel
-        )
-        rounds += 1
-        for result in results:
-            worker_evals[result.index] += result.evaluations
-        improving = [
-            result
-            for result in results
-            if result.move is not None and result.value < current_value
-        ]
-        if not improving:
-            break
-        best = min(improving, key=lambda r: (r.value, r.index))
-        op, server = best.move
-        servers[op] = server
-        current_value = best.value
-        worker_accepted[best.index] += 1
-        curve.append((1 + rounds, current_value))
-    else:
-        stop_reason = STOP_MAX_STEPS
-
-    deployment = Deployment(
-        {
-            compiled.op_names[op]: compiled.server_names[server]
-            for op, server in enumerate(servers)
-        }
-    )
-    runs = [
-        WorkerRun(
-            index=worker,
-            label=f"partition:{worker}",
-            deployment=deployment,
-            value=current_value,
-            report=SearchReport(
-                steps=rounds,
-                evaluations=worker_evals[worker],
-                accepted=worker_accepted[worker],
-                rejected=worker_evals[worker] - worker_accepted[worker],
-                best_value=current_value,
-                curve=tuple(curve) if worker == 0 else (),
-                stop_reason=stop_reason,
-                elapsed_s=0.0,
-            ),
-        )
-        for worker in range(num_workers)
-    ]
-    return _merged_outcome(
-        "partition",
         runtime.workers,
         runs,
         ledger,

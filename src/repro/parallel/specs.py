@@ -8,7 +8,7 @@ optional constructive *seed algorithm* for the refinement family --
 that each worker :meth:`~AlgorithmSpec.build`\\ s locally.
 
 :class:`ShardPlan` names how one algorithm's work is split across
-workers (``restarts`` / ``islands`` / ``partition``; see
+workers (``restarts`` / ``islands``; see
 :mod:`repro.parallel.runtime` for the protocols), and
 :data:`DEFAULT_PORTFOLIO` is the racing line-up used when the caller
 does not provide one: the paper's strongest constructive baselines
@@ -128,7 +128,7 @@ def spec_label(entry: "AlgorithmSpec | DeploymentAlgorithm") -> str:
 
 
 #: Valid :attr:`ShardPlan.kind` values.
-PLAN_KINDS = ("restarts", "islands", "partition")
+PLAN_KINDS = ("restarts", "islands")
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,12 @@ class ShardPlan:
         own spawned RNG stream; best run wins. Works for any algorithm.
         ``"islands"`` -- GA islands evolving in parallel with periodic
         ring migration of elites (Genetic only).
-        ``"partition"`` -- one cooperative hill-climbing trajectory
-        whose move neighbourhood is partitioned across workers each
-        sweep (HillClimbing only).
     migration_every:
         Islands: generations evolved between migration barriers.
-    max_rounds:
-        Partition: cap on cooperative sweeps (mirrors the serial
-        climber's ``max_iterations`` default).
     """
 
     kind: str = "restarts"
     migration_every: int = 5
-    max_rounds: int = 1_000
 
     def __post_init__(self) -> None:
         if self.kind not in PLAN_KINDS:
@@ -162,7 +155,6 @@ class ShardPlan:
                 f"plan kind must be one of {PLAN_KINDS}, got {self.kind!r}"
             )
         SearchBudget.validate_count("migration_every", self.migration_every)
-        SearchBudget.validate_count("max_rounds", self.max_rounds)
 
     @classmethod
     def coerce(cls, plan: "ShardPlan | str | None") -> "ShardPlan | None":
@@ -175,9 +167,7 @@ class ShardPlan:
 def auto_plan(name: str) -> ShardPlan:
     """The default plan for an algorithm: islands for the GA (its
     population structure is what migration exploits), parallel seeded
-    restarts for everything else. The ``partition`` plan is opt-in --
-    it changes the search from independent trajectories to one
-    cooperative trajectory, which callers should choose deliberately.
+    restarts for everything else.
     """
     if name == "Genetic":
         return ShardPlan(kind="islands")

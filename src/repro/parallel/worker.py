@@ -8,8 +8,8 @@ What crosses the process boundary is deliberately small and dumb:
   later task for the same fingerprint from :data:`_MATERIALIZED`;
 * task dataclasses whose per-round fields are integer indices into the
   worker's own :class:`~repro.core.compiled.CompiledInstance` -- genome
-  populations as server-index tuples, operation partitions as op-index
-  tuples, candidate rows as index vectors -- never live domain objects.
+  populations as server-index tuples, candidate rows as index
+  vectors -- never live domain objects.
 
 Every entry point is a module-level function (picklable by qualified
 name under any ``multiprocessing`` start method) taking ``(task,
@@ -29,8 +29,6 @@ from repro.algorithms.base import DeploymentAlgorithm
 from repro.algorithms.runtime import CancelToken, SearchBudget, SearchReport
 from repro.core.clock import Clock
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator
-from repro.core.mapping import Deployment
 from repro.core.rng import coerce_rng
 from repro.core.workflow import Workflow
 from repro.io.json_codec import (
@@ -58,9 +56,6 @@ __all__ = [
     "IslandTask",
     "IslandResult",
     "run_island_task",
-    "PartitionTask",
-    "PartitionResult",
-    "run_partition_scan",
     "PricingTask",
     "run_pricing_task",
 ]
@@ -347,89 +342,6 @@ def run_island_task(
         report=report,
         population=population,
         objectives=tuple(captured["objectives"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# partitioned-neighbourhood hill-climbing scans
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PartitionTask:
-    """One worker's share of a cooperative best-improvement sweep.
-
-    ``servers`` is the current trajectory state (server index per
-    operation, workflow order); ``operations`` the op indices this
-    worker scans. The worker prices every single-operation move of its
-    partition and reports its best strict improvement.
-    """
-
-    index: int
-    payload: InstancePayload
-    servers: tuple[int, ...]
-    operations: tuple[int, ...]
-    flush_every: int = DEFAULT_FLUSH_EVERY
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Best move found in one partition (``move is None``: no
-    improvement in this partition)."""
-
-    index: int
-    evaluations: int
-    move: tuple[int, int] | None
-    value: float
-
-
-def run_partition_scan(
-    task: PartitionTask,
-    ledger: BudgetLedger,
-    clock: Clock | None = None,
-) -> PartitionResult:
-    """Scan one partition of the move neighbourhood incrementally."""
-    _, _, model = materialize(task.payload)
-    compiled = model.compiled
-    op_names = compiled.op_names
-    server_names = compiled.server_names
-    deployment = Deployment(
-        {
-            op_names[op]: server_names[server]
-            for op, server in enumerate(task.servers)
-        }
-    )
-    evaluator = MoveEvaluator(model, deployment)
-    current_value = evaluator.objective
-    best_move: tuple[int, int] | None = None
-    best_value = current_value
-    evaluations = 0
-    unflushed = 0
-    try:
-        for op in task.operations:
-            if ledger.stop_requested:
-                break
-            original = task.servers[op]
-            operation_name = op_names[op]
-            for server, server_name in enumerate(server_names):
-                if server == original:
-                    continue
-                value = evaluator.propose_value(operation_name, server_name)
-                evaluations += 1
-                unflushed += 1
-                if value < best_value:
-                    best_value = value
-                    best_move = (op, server)
-            if unflushed >= task.flush_every:
-                ledger.record(unflushed)
-                unflushed = 0
-    finally:
-        # the tail delta must land even when a proposal raises, or the
-        # global accounting under-counts after a crashed worker
-        ledger.record(unflushed)
-    return PartitionResult(
-        index=task.index,
-        evaluations=evaluations,
-        move=best_move,
-        value=best_value,
     )
 
 

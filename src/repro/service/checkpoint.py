@@ -83,12 +83,40 @@ CHECKPOINT_FORMAT = "fleet-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
+_REQUIRED = object()
+
+
 def _require(document: Mapping[str, Any], field: str, expected: str) -> Any:
     try:
         return document[field]
     except (KeyError, TypeError):
         raise ValidationError(
             f"{expected} document is missing required field {field!r}"
+        ) from None
+
+
+def _number(
+    document: Mapping[str, Any],
+    field: str,
+    expected: str,
+    convert: type = float,
+    default: Any = _REQUIRED,
+) -> Any:
+    """Read *field* through *convert* (``float`` or ``int``).
+
+    A missing required field or a value *convert* rejects raises
+    :class:`ValidationError`; *default* makes the field optional.
+    """
+    if default is _REQUIRED:
+        value = _require(document, field, expected)
+    else:
+        value = document.get(field, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{expected} field {field!r} must be a number "
+            f"({convert.__name__}), got {value!r}"
         ) from None
 
 
@@ -173,13 +201,13 @@ def event_from_dict(document: Mapping[str, Any]) -> FleetEvent:
     if kind == ServerJoined.kind:
         return ServerJoined(
             server=str(_require(document, "server", "server-joined event")),
-            power_hz=float(
-                _require(document, "power_hz", "server-joined event")
+            power_hz=_number(document, "power_hz", "server-joined event"),
+            link_speed_bps=_number(
+                document, "link_speed_bps", "server-joined event"
             ),
-            link_speed_bps=float(
-                _require(document, "link_speed_bps", "server-joined event")
+            propagation_s=_number(
+                document, "propagation_s", "server-joined event", default=0.0
             ),
-            propagation_s=float(document.get("propagation_s", 0.0)),
         )
     if kind == WorkloadDrift.kind:
         return WorkloadDrift(
@@ -191,9 +219,7 @@ def event_from_dict(document: Mapping[str, Any]) -> FleetEvent:
     if kind == CapacityDrift.kind:
         return CapacityDrift(
             server=str(_require(document, "server", "capacity-drift event")),
-            power_hz=float(
-                _require(document, "power_hz", "capacity-drift event")
-            ),
+            power_hz=_number(document, "power_hz", "capacity-drift event"),
         )
     if kind == LinkFailure.kind:
         return LinkFailure(
@@ -204,11 +230,14 @@ def event_from_dict(document: Mapping[str, Any]) -> FleetEvent:
         return LinkDegrade(
             a=str(_require(document, "a", "link-degraded event")),
             b=str(_require(document, "b", "link-degraded event")),
-            speed_factor=float(
-                _require(document, "speed_factor", "link-degraded event")
+            speed_factor=_number(
+                document, "speed_factor", "link-degraded event"
             ),
-            propagation_factor=float(
-                document.get("propagation_factor", 1.0)
+            propagation_factor=_number(
+                document,
+                "propagation_factor",
+                "link-degraded event",
+                default=1.0,
             ),
         )
     if kind == RegionOutage.kind:
@@ -267,11 +296,15 @@ def migration_from_dict(
     if document is None:
         return None
     return MigrationCostModel(
-        state_bits_per_cycle=float(
-            document.get("state_bits_per_cycle", 0.0)
+        state_bits_per_cycle=_number(
+            document, "state_bits_per_cycle", "migration model", default=0.0
         ),
-        state_bits_base=float(document.get("state_bits_base", 0.0)),
-        downtime_s=float(document.get("downtime_s", 0.0)),
+        state_bits_base=_number(
+            document, "state_bits_base", "migration model", default=0.0
+        ),
+        downtime_s=_number(
+            document, "downtime_s", "migration model", default=0.0
+        ),
     )
 
 
@@ -313,27 +346,31 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
     return FleetConfig(
         algorithm=str(_require(document, "algorithm", "fleet config")),
         admission_load_limit_s=document.get("admission_load_limit_s"),
-        drift_threshold=float(
-            _require(document, "drift_threshold", "fleet config")
-        ),
-        max_moves_per_rebalance=int(
-            _require(document, "max_moves_per_rebalance", "fleet config")
+        drift_threshold=_number(document, "drift_threshold", "fleet config"),
+        max_moves_per_rebalance=_number(
+            document, "max_moves_per_rebalance", "fleet config", int
         ),
         rebalance_budget=budget_from_dict(document.get("rebalance_budget")),
-        execution_weight=float(
-            _require(document, "execution_weight", "fleet config")
-        ),
-        penalty_weight=float(
-            _require(document, "penalty_weight", "fleet config")
-        ),
+        execution_weight=_number(document, "execution_weight", "fleet config"),
+        penalty_weight=_number(document, "penalty_weight", "fleet config"),
         penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
-        seed=int(_require(document, "seed", "fleet config")),
-        parallel_workers=int(document.get("parallel_workers", 1)),
+        seed=_number(document, "seed", "fleet config", int),
+        parallel_workers=_number(
+            document, "parallel_workers", "fleet config", int, default=1
+        ),
         migration=migration_from_dict(document.get("migration")),
-        migration_weight=float(document.get("migration_weight", 0.0)),
-        rebalance_min_gain=float(document.get("rebalance_min_gain", 0.0)),
-        rebalance_cooldown_ticks=int(
-            document.get("rebalance_cooldown_ticks", 0)
+        migration_weight=_number(
+            document, "migration_weight", "fleet config", default=0.0
+        ),
+        rebalance_min_gain=_number(
+            document, "rebalance_min_gain", "fleet config", default=0.0
+        ),
+        rebalance_cooldown_ticks=_number(
+            document,
+            "rebalance_cooldown_ticks",
+            "fleet config",
+            int,
+            default=0,
         ),
     )
 
@@ -357,11 +394,11 @@ def record_from_dict(document: Mapping[str, Any]) -> LogRecord:
     """Decode one decision-log record."""
     details = _require(document, "details", "log record")
     return LogRecord(
-        seq=int(_require(document, "seq", "log record")),
+        seq=_number(document, "seq", "log record", int),
         event=str(_require(document, "event", "log record")),
         subject=str(_require(document, "subject", "log record")),
         action=str(_require(document, "action", "log record")),
-        latency_s=float(_require(document, "latency_s", "log record")),
+        latency_s=_number(document, "latency_s", "log record"),
         details=tuple((str(key), str(value)) for key, value in details),
     )
 
@@ -382,18 +419,15 @@ def snapshot_from_dict(document: Mapping[str, Any]) -> FleetSnapshot:
     """Decode a fleet snapshot."""
     loads = _require(document, "loads", "fleet snapshot")
     return FleetSnapshot(
-        execution_time=float(
-            _require(document, "execution_time", "fleet snapshot")
-        ),
-        time_penalty=float(
-            _require(document, "time_penalty", "fleet snapshot")
-        ),
-        objective=float(_require(document, "objective", "fleet snapshot")),
-        loads={str(key): float(value) for key, value in loads.items()},
-        balance_index=float(
-            _require(document, "balance_index", "fleet snapshot")
-        ),
-        tenants=int(_require(document, "tenants", "fleet snapshot")),
+        execution_time=_number(document, "execution_time", "fleet snapshot"),
+        time_penalty=_number(document, "time_penalty", "fleet snapshot"),
+        objective=_number(document, "objective", "fleet snapshot"),
+        loads={
+            str(key): _number(loads, key, "fleet snapshot loads")
+            for key in loads.keys()
+        },
+        balance_index=_number(document, "balance_index", "fleet snapshot"),
+        tenants=_number(document, "tenants", "fleet snapshot", int),
     )
 
 
@@ -503,9 +537,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for entry in document.get("pending", []):
             if isinstance(entry, Mapping) and "event" in entry:
                 pending_events.append(event_from_dict(entry["event"]))
-                priority = entry.get("priority")
                 pending_priorities.append(
-                    int(priority) if priority is not None else None
+                    None
+                    if entry.get("priority") is None
+                    else _number(entry, "priority", "pending entry", int)
                 )
             else:
                 pending_events.append(event_from_dict(entry))
@@ -526,7 +561,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             snapshot_doc=dict(_require(document, "snapshot", "checkpoint")),
             pending=tuple(pending_events),
             deterministic=clock_doc.get("kind") == "step",
-            step_s=float(clock_doc.get("step_s", 0.001)),
+            step_s=_number(clock_doc, "step_s", "clock", default=0.001),
             pending_priorities=tuple(pending_priorities),
         )
     except (CodecError, TypeError, AttributeError) as exc:

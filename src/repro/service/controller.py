@@ -63,7 +63,6 @@ from repro.algorithms.runtime import (
 )
 from repro.core.clock import StepClock
 from repro.core.cost import PENALTY_MODES
-from repro.core.incremental import MoveEvaluator
 from repro.core.migration import MigrationCostModel
 from repro.core.rng import coerce_rng
 from repro.exceptions import ServiceError
@@ -797,9 +796,9 @@ class FleetController:
         Per-tenant execution times are priced in bulk through each
         tenant's shared :class:`~repro.core.batch.BatchEvaluator`: one
         kernel call per tenant per round scores that tenant's whole
-        candidate set. Applied moves go through one
-        :class:`~repro.core.incremental.MoveEvaluator` per tenant, which
-        keeps the tenant's live deployment and execution time current.
+        candidate set. An applied move is assigned straight into the
+        tenant's live deployment, and the kernel's float becomes the
+        tenant's standing execution time.
 
         The scan runs on the :class:`~repro.algorithms.runtime.
         SearchRuntime` -- one applied move per step -- under
@@ -812,14 +811,10 @@ class FleetController:
         """
         state = self.state
         network = state.network
-        evaluators = {
-            tenant: MoveEvaluator(
-                state.cost_model(tenant), state.tenant(tenant).deployment
-            )
-            for tenant in state.tenants
-        }
         exec_times = {
-            tenant: evaluators[tenant].execution_time
+            tenant: state.cost_model(tenant).execution_time(
+                state.tenant(tenant).deployment
+            )
             for tenant in state.tenants
         }
         loads = state.combined_loads()
@@ -1000,8 +995,7 @@ class FleetController:
                     # weight 0: the move was chosen blind, but its cost
                     # is still billed (benchmarks charge naive churn)
                     cost = move_cost(tenant, operation, source, target)
-                # apply() assigns into the tenant's live deployment too
-                evaluators[tenant].apply(operation, target)
+                state.tenant(tenant).deployment.assign(operation, target)
                 exec_times[tenant] = tenant_exec
                 # the standing objective never carries the one-time
                 # migration term -- hysteresis compares future nets

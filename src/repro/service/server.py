@@ -40,7 +40,7 @@ from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import ReproError, ServiceError, ValidationError
 from repro.service.checkpoint import (
     event_from_dict,
     record_to_dict,
@@ -65,6 +65,20 @@ def job_to_dict(job: Job) -> dict[str, Any]:
         ),
         "error": job.error,
     }
+
+
+def _optional_int(body: dict[str, Any], field: str) -> int | None:
+    """Integer body *field*, or ``None`` when absent; a value ``int``
+    rejects raises :class:`~repro.exceptions.ValidationError`."""
+    value = body.get(field)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"field {field!r} must be an integer, got {value!r}"
+        ) from None
 
 
 class FleetApp:
@@ -141,16 +155,10 @@ class FleetApp:
                     "error": "POST /jobs needs an object 'event' field"
                 }
             event = event_from_dict(event_doc)
-            priority = body.get("priority")
-            job = service.submit(
-                event, int(priority) if priority is not None else None
-            )
+            job = service.submit(event, _optional_int(body, "priority"))
             return 201, job_to_dict(job)
         if parts == ["process"]:
-            max_jobs = body.get("max_jobs")
-            processed = service.drain(
-                int(max_jobs) if max_jobs is not None else None
-            )
+            processed = service.drain(_optional_int(body, "max_jobs"))
             return 200, {
                 "processed": [job_to_dict(job) for job in processed],
                 "pending": service.queue.pending,

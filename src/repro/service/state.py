@@ -35,9 +35,8 @@ from repro.core.mapping import Deployment
 from repro.core.migration import TransitionObjective
 from repro.core.workflow import Workflow
 from repro.exceptions import ServiceError
-from repro.experiments.failover import remove_server
 from repro.network.routing import Router
-from repro.network.topology import Link, Server, ServerNetwork
+from repro.network.topology import Link, Server, ServerNetwork, remove_server
 
 __all__ = [
     "TenantDeployment",
@@ -458,8 +457,8 @@ class FleetState:
     def fail_server(self, server: str) -> dict[str, tuple[str, ...]]:
         """Remove *server*; return the orphaned operations per tenant.
 
-        The network is rebuilt without the server (reusing the failover
-        experiment's :func:`~repro.experiments.failover.remove_server`),
+        The network is rebuilt without the server (through
+        :func:`~repro.network.topology.remove_server`),
         orphaned assignments are dropped from the affected tenants'
         deployments, and every evaluation cache is invalidated. Callers
         (the controller) are responsible for re-homing the orphans.

@@ -203,7 +203,7 @@ class TestEvaluatorsCarryMigration:
         evaluator = MoveEvaluator(
             model, Deployment.all_on_one(line3, "S1")
         )
-        assert evaluator.breakdown().migration_cost == 0.0
+        assert evaluator.migration_cost == 0.0
         outcome = evaluator.propose("C", "S3")
         assert outcome.migration_cost == pytest.approx(0.05)
         assert outcome.objective == pytest.approx(
@@ -213,7 +213,8 @@ class TestEvaluatorsCarryMigration:
         )
         evaluator.commit()
         # moving back home refunds the whole term
-        refund = evaluator.apply("C", "S1")
+        refund = evaluator.propose("C", "S1")
+        evaluator.commit()
         assert refund.migration_cost == 0.0
         assert math.isclose(
             refund.objective,

@@ -128,23 +128,6 @@ class TestReproducibility:
         assert first.best.as_dict() == second.best.as_dict()
         assert _strip(first.report) == _strip(second.report)
 
-    def test_partition_run_is_reproducible(self, line5, bus5, model):
-        def run():
-            return deploy_parallel(
-                "HillClimbing@HeavyOps-LargeMsgs",
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=9,
-                plan="partition",
-                inline=True,
-            )
-
-        first, second = run(), run()
-        assert first.best.as_dict() == second.best.as_dict()
-        assert _strip(first.report) == _strip(second.report)
-
     def test_live_rng_rejected_for_sharded_runs(self, line5, bus5, model):
         with pytest.raises(AlgorithmError):
             deploy_parallel(
@@ -266,14 +249,15 @@ class TestPlanValidation:
                 inline=True,
             )
 
-    def test_partition_requires_hill_climbing(self, line5, bus5, model):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partition_plan_is_retired(self, line5, bus5, model, workers):
         with pytest.raises(AlgorithmError):
             deploy_parallel(
-                "Genetic",
+                "HillClimbing@HeavyOps-LargeMsgs",
                 line5,
                 bus5,
                 cost_model=model,
-                workers=2,
+                workers=workers,
                 seed=1,
                 plan="partition",
                 inline=True,

@@ -85,6 +85,11 @@ class TestShardPlan:
         with pytest.raises(AlgorithmError):
             ShardPlan(kind="butterfly")
 
+    def test_partition_plan_is_retired(self):
+        assert PLAN_KINDS == ("restarts", "islands")
+        with pytest.raises(AlgorithmError):
+            ShardPlan("partition")
+
     def test_auto_plan_matches_algorithm_family(self):
         assert auto_plan("Genetic").kind == "islands"
         assert auto_plan("HillClimbing").kind == "restarts"

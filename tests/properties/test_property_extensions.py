@@ -14,8 +14,9 @@ from repro.algorithms.fair_load import FairLoad
 from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
 from repro.core.workflow import Operation
-from repro.experiments.failover import analyze_failure, remove_server
+from repro.experiments.failover import analyze_failure
 from repro.experiments.incremental import patch_deployment
+from repro.network.topology import remove_server
 from repro.workloads.generator import (
     GraphStructure,
     line_workflow,

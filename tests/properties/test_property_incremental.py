@@ -137,13 +137,16 @@ def test_frequent_resync_changes_nothing(size, servers, seed, mode):
     workflow, network, model, deployment = instance(
         size, servers, seed, None, mode
     )
-    evaluator = MoveEvaluator(model, deployment, resync_interval=1)
+    evaluator = MoveEvaluator(model, deployment)
     rng = random.Random(seed + 4)
     for _ in range(10):
-        evaluator.apply(
-            rng.choice(workflow.operation_names),
-            rng.choice(network.server_names),
+        server = rng.choice(network.server_names)
+        outcome = evaluator.propose(
+            rng.choice(workflow.operation_names), server
         )
+        if server != outcome.previous_server:
+            evaluator.commit()
+            evaluator.resync()
     assert_in_sync(evaluator, model, deployment)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.incremental import MoveEvaluator
 from repro.service.scenarios import replay
 from tests.oracles import scalar_pricing
 
@@ -36,3 +37,23 @@ class TestByteIdenticalReplay:
         with scalar_pricing():
             scalar = replay(name, seed=7).log.to_text()
         assert batched == scalar
+
+
+def test_rebalance_never_attaches_a_move_evaluator(monkeypatch):
+    """Fleet rebalancing prices and applies moves without MoveEvaluator.
+
+    Candidates are scored by the batch kernel and applied moves are
+    plain deployment assignments, so a replay whose rebalances move
+    operations must not need the incremental evaluator at all.
+    """
+    expected = replay("drift", seed=0)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the fleet attached a MoveEvaluator")
+
+    monkeypatch.setattr(MoveEvaluator, "__init__", refuse)
+    controller = replay("drift", seed=0)
+    metrics = controller.metrics()
+    assert metrics.rebalance_moves > 0
+    assert controller.log.to_text() == expected.log.to_text()
+    assert metrics.to_text() == expected.metrics().to_text()

@@ -99,6 +99,28 @@ class TestDispatchRoutes:
         )
         assert status == 400
 
+    def test_malformed_event_number_is_400(self, app):
+        status, payload = app.dispatch(
+            "POST",
+            "/jobs",
+            {
+                "event": {
+                    "kind": "server-joined",
+                    "server": "S9",
+                    "power_hz": "fast",
+                    "link_speed_bps": 1e8,
+                }
+            },
+        )
+        assert status == 400 and "power_hz" in payload["error"]
+
+    def test_malformed_priority_is_400(self, app):
+        status, payload = app.dispatch(
+            "POST", "/jobs", {"event": _deploy_doc("a"), "priority": "high"}
+        )
+        assert status == 400 and "priority" in payload["error"]
+        assert app.dispatch("GET", "/jobs")[1]["jobs"] == []
+
     def test_checkpoint_includes_queued_jobs_as_pending(self, app, tmp_path):
         app.dispatch("POST", "/jobs", {"event": _deploy_doc("alpha")})
         app.dispatch("POST", "/process")

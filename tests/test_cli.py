@@ -127,6 +127,24 @@ class TestDeploy:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_partition_plan_is_a_usage_error(self, instance_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "deploy",
+                    "--instance",
+                    str(instance_path),
+                    "--algorithm",
+                    "HillClimbing",
+                    "--workers",
+                    "2",
+                    "--plan",
+                    "partition",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--plan" in capsys.readouterr().err
+
 
 class TestTopologyOverride:
     SNDLIB = (
@@ -525,6 +543,40 @@ class TestFleetDurability:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "diverged" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("config", "seed", "x"), ("clock", "step_s", "fast")],
+    )
+    def test_malformed_number_is_one_line_error(
+        self, tmp_path, capsys, section, field, value
+    ):
+        import json
+
+        path = tmp_path / "fleet.json"
+        main(
+            [
+                "fleet",
+                "checkpoint",
+                "--scenario",
+                "steady",
+                "--checkpoint",
+                str(path),
+            ]
+        )
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        document[section][field] = value
+        path.write_text(json.dumps(document))
+        code = main(["fleet", "restore", "--checkpoint", str(path)])
+        assert code == 1
+        err_lines = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.strip()
+        ]
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error:") and field in err_lines[0]
 
     def test_stop_after_out_of_range_is_one_line_error(
         self, tmp_path, capsys
