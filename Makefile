@@ -28,11 +28,12 @@ bench:
 # vectorized kernel, the 2-worker process pool (islands/portfolio +
 # workers=1 identity), the transition-aware-vs-blind drift replay, the
 # naive-vs-rebalancing Abilene link-failure replay, and the batched
-# route-compile / scoped-invalidation comparison (the deterministic
-# ratio and Dijkstra-count floors ARE asserted) without asserting the
-# hardware perf floors
+# route-compile / scoped-invalidation comparison, and the fleet
+# rebalance against its frozen per-candidate scan (the deterministic
+# ratio, Dijkstra-count, kernel-row and identical-log floors ARE
+# asserted) without asserting the hardware perf floors
 bench-smoke:
-	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_move_eval.py benchmarks/bench_core_perf.py benchmarks/bench_runtime.py benchmarks/bench_batch_eval.py benchmarks/bench_parallel.py benchmarks/bench_service_queue.py benchmarks/bench_migration.py benchmarks/bench_topology.py benchmarks/bench_routing.py --benchmark-disable -q
+	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_move_eval.py benchmarks/bench_core_perf.py benchmarks/bench_runtime.py benchmarks/bench_batch_eval.py benchmarks/bench_parallel.py benchmarks/bench_service_queue.py benchmarks/bench_migration.py benchmarks/bench_topology.py benchmarks/bench_routing.py benchmarks/bench_rebalance.py --benchmark-disable -q
 
 figures:
 	$(PYTHON) -m repro figures --output benchmarks/output

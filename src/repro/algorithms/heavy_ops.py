@@ -35,6 +35,7 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.graph_adapters import ServerBudgets
 from repro.core.mapping import Deployment
+from repro.network.topology import ServerNetwork
 
 __all__ = ["HeavyOpsLargeMsgs"]
 
@@ -130,18 +131,26 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
 
     name = "HeavyOps-LargeMsgs"
 
-    def _bus_transfer_time(self, context: ProblemContext, weighted_bits: float) -> float:
-        """Time to push *weighted_bits* over the (conservative) bus."""
-        network = context.network
-        if not network.links:
-            return 0.0  # single server: every message is local
+    @staticmethod
+    def _bus_equivalent(
+        network: ServerNetwork,
+    ) -> tuple[float, float] | None:
+        """``(speed_bps, propagation_s)`` of the (conservative) bus.
+
+        The network's own bus when it is one, else the slowest link
+        speed with the longest propagation delay. ``None`` for a single
+        server: every message is local. Computed once per deployment;
+        it scans every link.
+        """
+        links = network.links
+        if not links:
+            return None
         if network.is_uniform_bus():
-            speed = network.uniform_speed_bps
-            propagation = network.links[0].propagation_s if network.links else 0.0
-        else:
-            speed = min(link.speed_bps for link in network.links)
-            propagation = max(link.propagation_s for link in network.links)
-        return weighted_bits / speed + propagation
+            return network.uniform_speed_bps, links[0].propagation_s
+        return (
+            min(link.speed_bps for link in links),
+            max(link.propagation_s for link in links),
+        )
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         workflow = context.workflow
@@ -178,6 +187,7 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
                 return message
             return None
 
+        bus = self._bus_equivalent(context.network)
         unassigned = len(workflow)
         while unassigned:
             heaviest = groups.heaviest()
@@ -190,9 +200,13 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
                 group_time = groups.cycles(heaviest) / context.network.server(
                     server
                 ).power_hz
-                transfer_time = self._bus_transfer_time(
-                    context, context.weighted_message_bits(*top.pair)
-                )
+                transfer_time = 0.0
+                if bus is not None:
+                    speed, propagation = bus
+                    transfer_time = (
+                        context.weighted_message_bits(*top.pair) / speed
+                        + propagation
+                    )
                 message_is_large = transfer_time >= group_time
 
             if top is None or not message_is_large:

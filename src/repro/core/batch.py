@@ -60,7 +60,39 @@ from repro.core.compiled import (
 )
 from repro.exceptions import DeploymentError
 
-__all__ = ["BatchEvaluator", "BatchScores"]
+__all__ = ["BatchEvaluator", "BatchScores", "penalty_rows"]
+
+
+def penalty_rows(loads: "np.ndarray", mode: str) -> "np.ndarray":
+    """The fairness statistic of every row of a ``(K, S)`` load matrix.
+
+    The row-vectorised :func:`~repro.core.compiled.penalty_statistic`:
+    each sum accumulates column by column, so every row's float is the
+    scalar left fold over that row's values. Shared by the kernel's
+    :meth:`BatchEvaluator.evaluate` and the fleet rebalance scorer. An
+    unknown *mode* falls through to ``"std"``, as in the scalar form.
+    """
+    count, servers = loads.shape
+    if servers == 0:  # pragma: no cover - networks are never empty
+        return np.zeros(count)
+    acc = np.zeros(count)
+    for j in range(servers):
+        acc += loads[:, j]
+    mean = acc / servers
+    if mode == "max":
+        worst = np.abs(loads[:, 0] - mean)
+        for j in range(1, servers):
+            np.maximum(worst, np.abs(loads[:, j] - mean), out=worst)
+        return worst
+    total = np.zeros(count)
+    if mode == "mad" or mode == "sum_abs":
+        for j in range(servers):
+            total += np.abs(loads[:, j] - mean)
+        return total / servers if mode == "mad" else total
+    for j in range(servers):
+        deviation = np.abs(loads[:, j] - mean)
+        total += deviation * deviation
+    return np.sqrt(total / servers)
 
 
 @dataclass(frozen=True)
@@ -331,6 +363,11 @@ class BatchEvaluator:
             )
         return b
 
+    def _transposed(self, batch) -> "np.ndarray":
+        """The coerced batch, op-major: ``bT[op]`` is one contiguous
+        ``K``-vector of the batch's server choices for that operation."""
+        return np.ascontiguousarray(self._coerce(batch).T)
+
     def evaluate(self, batch) -> BatchScores:
         """Score every row of *batch*: ``(execution, penalty, objective)``.
 
@@ -341,22 +378,10 @@ class BatchEvaluator:
         :meth:`~repro.core.compiled.CompiledInstance.components` of that
         row (see the module determinism contract).
         """
-        b = self._coerce(batch)
-        count = b.shape[0]
-        if count == 0:
-            empty = np.empty(0)
-            return BatchScores(
-                empty,
-                empty.copy(),
-                empty.copy(),
-                empty.copy() if self._migration_table is not None else None,
-            )
-        # op-major transpose: bT[op] is one contiguous K-vector of the
-        # batch's server choices for that operation
-        bT = np.ascontiguousarray(b.T)
+        bT = self._transposed(batch)
         execution = self._execution(bT)
-        penalty = self._penalty(self._loads(bT))
         compiled = self.compiled
+        penalty = penalty_rows(self._loads(bT), compiled.penalty_mode)
         objective = (
             compiled.execution_weight * execution
             + compiled.penalty_weight * penalty
@@ -368,6 +393,17 @@ class BatchEvaluator:
         # (ew*e + pw*p) first, then + mw*m
         objective = objective + compiled.migration_weight * migration
         return BatchScores(execution, penalty, objective, migration)
+
+    def execution(self, batch) -> "np.ndarray":
+        """``Texecute`` of every row of *batch*, and nothing else.
+
+        The forward pass of :meth:`evaluate` alone -- no loads, penalty
+        or objective -- for callers that score the rest themselves (the
+        fleet rebalance, whose penalty is fleet-wide, and
+        :func:`~repro.parallel.worker.run_pricing_task`). Bit-identical
+        to ``evaluate(batch).execution``.
+        """
+        return self._execution(self._transposed(batch))
 
     def _execution(self, bT: "np.ndarray") -> "np.ndarray":
         """``Texecute`` per row: the vectorized topological forward pass."""
@@ -452,39 +488,6 @@ class BatchEvaluator:
         for op in range(self.num_ops):
             totals += table[op][bT[op]]
         return totals
-
-    def _penalty(self, loads: "np.ndarray") -> "np.ndarray":
-        """The compiled-in fairness statistic, one value per row.
-
-        Column-sequential accumulation over the server axis keeps every
-        sum in the scalar
-        :func:`~repro.core.compiled.penalty_statistic` order.
-        """
-        count, servers = loads.shape
-        if servers == 0:  # pragma: no cover - networks are never empty
-            return np.zeros(count)
-        acc = np.zeros(count)
-        for j in range(servers):
-            acc += loads[:, j]
-        mean = acc / servers
-        mode = self.compiled.penalty_mode
-        if mode == "max":
-            worst = np.abs(loads[:, 0] - mean)
-            for j in range(1, servers):
-                np.maximum(worst, np.abs(loads[:, j] - mean), out=worst)
-            return worst
-        if mode == "std":
-            squares = np.zeros(count)
-            for j in range(servers):
-                deviation = np.abs(loads[:, j] - mean)
-                squares += deviation * deviation
-            return np.sqrt(squares / servers)
-        total = np.zeros(count)
-        for j in range(servers):
-            total += np.abs(loads[:, j] - mean)
-        if mode == "sum_abs":
-            return total
-        return total / servers  # mad
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -79,16 +79,25 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
     """
     if not values:
         return 0.0
-    mean = sum(values) / len(values)
-    deviations = [abs(v - mean) for v in values]
-    if mode == "mad":
-        return sum(deviations) / len(values)
-    if mode == "sum_abs":
-        return sum(deviations)
+    # explicit left folds, not builtin sum(): Python 3.12 made sum()
+    # compensated, and the batch kernel's penalty_rows folds left
+    count = len(values)
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / count
     if mode == "max":
-        return max(deviations)
+        return max(abs(value - mean) for value in values)
+    acc = 0.0
+    if mode == "mad" or mode == "sum_abs":
+        for value in values:
+            acc += abs(value - mean)
+        return acc / count if mode == "mad" else acc
     # std
-    return math.sqrt(sum(d * d for d in deviations) / len(values))
+    for value in values:
+        deviation = abs(value - mean)
+        acc += deviation * deviation
+    return math.sqrt(acc / count)
 
 
 class CompiledInstance:
@@ -609,13 +618,12 @@ class CompiledInstance:
                     if total <= 0:
                         ready = max(arrivals)
                     else:
-                        ready = (
-                            sum(
-                                w * a
-                                for w, a in zip(weights_all[op], arrivals)
-                            )
-                            / total
-                        )
+                        # left fold (not 3.12's compensated sum()), in
+                        # the batch kernel's arrival order
+                        ready = 0.0
+                        for w, a in zip(weights_all[op], arrivals):
+                            ready += w * a
+                        ready /= total
                 elif code == JOIN_MIN:
                     ready = min(arrivals)
                 else:

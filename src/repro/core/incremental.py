@@ -295,15 +295,11 @@ class MoveEvaluator:
                         if total <= 0:
                             ready = max(arrivals)
                         else:
-                            ready = (
-                                sum(
-                                    w * a
-                                    for w, a in zip(
-                                        weights_all[node], arrivals
-                                    )
-                                )
-                                / total
-                            )
+                            # left fold, as CompiledInstance.forward_pass
+                            ready = 0.0
+                            for w, a in zip(weights_all[node], arrivals):
+                                ready += w * a
+                            ready /= total
                     elif code == 1:  # JOIN_MIN
                         ready = min(arrivals)
                     else:

@@ -106,9 +106,12 @@ class CompiledGraph:
         in the *networkx adjacency order* of the underlying graph --
         the order networkx Dijkstra relaxes neighbours in, which the
         tie-counter semantics make observable.
+    edges:
+        ``edges[v][u] = (propagation_s, inv_speed)``: the same per-edge
+        floats keyed by neighbour, for O(1) lookups along a path.
     """
 
-    __slots__ = ("network", "names", "index", "adjacency")
+    __slots__ = ("network", "names", "index", "adjacency", "edges")
 
     def __init__(self, network: ServerNetwork):
         self.network = network
@@ -133,6 +136,10 @@ class CompiledGraph:
                 )
             adjacency.append(row)
         self.adjacency = adjacency
+        self.edges: list[dict[int, tuple[float, float]]] = [
+            {u: (prop, inv) for u, prop, inv, _speed in row}
+            for row in adjacency
+        ]
 
     def __len__(self) -> int:
         return len(self.names)
@@ -154,13 +161,11 @@ class CompiledGraph:
         """
         propagation = 0.0
         transfer = 0.0
-        adjacency = self.adjacency
+        edges = self.edges
         for a, b in zip(path, path[1:]):
-            for u, prop, inv, _speed in adjacency[a]:
-                if u == b:
-                    propagation += prop
-                    transfer += inv
-                    break
+            prop, inv = edges[a][b]
+            propagation += prop
+            transfer += inv
         return propagation, transfer
 
     def to_names(self, path: tuple[int, ...]) -> tuple[str, ...]:

@@ -357,18 +357,16 @@ class PricingTask:
     ``FleetConfig.parallel_workers > 1``; the kernel is the same
     :class:`~repro.core.batch.BatchEvaluator` the serial path uses, so
     the returned floats -- and therefore the applied moves and the
-    decision log -- are byte-identical.
+    decision log -- are byte-identical. ``rows`` is any ``(K, M)``
+    server-index array-like the kernel accepts.
     """
 
     index: int
     payload: InstancePayload
-    rows: tuple[tuple[int, ...], ...]
+    rows: Any
 
 
 def run_pricing_task(task: PricingTask) -> list[float]:
     """Price ``task.rows`` through the worker's cached batch kernel."""
     _, _, model = materialize(task.payload)
-    compiled = model.compiled
-    rows = [list(row) for row in task.rows]
-    scores = compiled.batch_evaluator().evaluate(rows)
-    return [float(value) for value in scores.execution]
+    return model.compiled.batch_evaluator().execution(task.rows).tolist()

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -122,7 +123,8 @@ class FleetConfig:
         algorithms that need random initial mappings).
     parallel_workers:
         Opt-in: when > 1, each rebalance round's per-tenant candidate
-        pricing fans out across this many worker processes (one
+        pricing (of the pairs not priced earlier in the same pass) fans
+        out across this many worker processes (one
         :class:`~repro.parallel.worker.PricingTask` per tenant, served
         by a pool the controller keeps across rounds -- call
         :meth:`FleetController.close` when done). The workers run the
@@ -793,12 +795,27 @@ class FleetController:
         for bit (migration cost is still *billed* into
         :attr:`migration_paid` when a model is configured).
 
-        Per-tenant execution times are priced in bulk through each
-        tenant's shared :class:`~repro.core.batch.BatchEvaluator`: one
-        kernel call per tenant per round scores that tenant's whole
-        candidate set. An applied move is assigned straight into the
-        tenant's live deployment, and the kernel's float becomes the
-        tenant's standing execution time.
+        A round costs one pricing pass and one scoring pass:
+
+        * **Pricing.** Each ``(tenant, operation)`` pair's execution
+          times over its destinations come from one
+          :meth:`~repro.core.batch.BatchEvaluator.execution` call per
+          tenant, and are kept for the rest of this call. A move drops
+          only the moved tenant's prices: nothing else a price depends
+          on (routes, compiled instances, *targets*, other tenants'
+          deployments) changes between rounds, and the kernel prices
+          each row independently, so reuse is exact.
+        * **Scoring.** The round's ``(K, S)`` trial-load matrix (base
+          loads, minus the op's load on its source, plus its load on the
+          destination) goes through
+          :func:`~repro.core.batch.penalty_rows`; execution is the max
+          of the best other tenant and the candidate; the state's
+          objective combines both elementwise. These are the float
+          operations, in the order, of the scalar per-candidate scan
+          this replaced (``tests/oracles.py`` keeps it), and the masked
+          ``argmin`` in pair-major, destination-minor order picks the
+          first strict minimum, as that scan did -- so every decision
+          is unchanged.
 
         The scan runs on the :class:`~repro.algorithms.runtime.
         SearchRuntime` -- one applied move per step -- under
@@ -809,6 +826,10 @@ class FleetController:
         objective, so the fleet is consistent at every step boundary.
         The runtime's report lands in :attr:`last_rebalance_report`.
         """
+        import numpy as np
+
+        from repro.core.batch import penalty_rows
+
         state = self.state
         network = state.network
         exec_times = {
@@ -818,13 +839,12 @@ class FleetController:
             for tenant in state.tenants
         }
         loads = state.combined_loads()
-
-        def objective(execs: dict[str, float], load_map: dict[str, float]) -> float:
-            self.evaluations += 1
-            execution = max(execs.values(), default=0.0)
-            penalty = load_penalty(list(load_map.values()), state.penalty_mode)
-            # the one fleet-level combine, shared with FleetState.snapshot
-            return state.objective_value(execution, penalty)
+        names = list(loads)
+        column = {name: j for j, name in enumerate(names)}
+        power = np.array([network.server(name).power_hz for name in names])
+        destinations = tuple(
+            targets if targets is not None else network.server_names
+        )
 
         migration_model = self.config.migration
         aware = self._transition_aware
@@ -853,134 +873,175 @@ class FleetController:
                 migration_model.state_bits(compiled.cycles[op]),
             )
 
-        current = objective(exec_times, loads)
+        self.evaluations += 1
+        current = state.objective_value(
+            max(exec_times.values(), default=0.0),
+            load_penalty(list(loads.values()), state.penalty_mode),
+        )
         before = current
+        base_loads = np.array(list(loads.values()))
         migration_total = 0.0
         moves: list[tuple[str, str, str, str]] = []
+        #: (tenant, operation) -> execution time per destination (the
+        #: source skipped), valid until that tenant moves
+        priced: dict[tuple[str, str], "np.ndarray"] = {}
 
-        def price_candidates(
-            pairs: list[tuple[str, str]],
-        ) -> dict[tuple[str, str, str], float]:
-            """Batch-price tenant execution for every candidate move.
-
-            One kernel call per tenant per round over that tenant's
-            ``(operation, target)`` rows.
-            """
-            rows: dict[str, list[list[int]]] = {}
-            keys: dict[str, list[tuple[str, str, str]]] = {}
+        def price(pairs: list[tuple[str, str]]) -> None:
+            """Price every pair of the round that is not in *priced*."""
+            fresh: dict[str, dict[tuple[str, str], "np.ndarray"]] = {}
+            tenants: dict[str, None] = {}  # ordered: tenants with a row
             for tenant, operation in pairs:
                 compiled = state.cost_model(tenant).compiled
                 deployment = state.tenant(tenant).deployment
                 source = deployment.server_of(operation)
-                base = compiled.server_vector(deployment)
-                op = compiled.op_index[operation]
-                destinations = (
-                    targets if targets is not None else network.server_names
+                columns = [
+                    compiled.server_index[target]
+                    for target in destinations
+                    if target != source
+                ]
+                if not columns:
+                    continue
+                tenants[tenant] = None
+                key = (tenant, operation)
+                if key in priced:
+                    continue
+                base = np.asarray(
+                    compiled.server_vector(deployment), dtype=np.intp
                 )
-                for target in destinations:
-                    if target == source:
-                        continue
-                    row = list(base)
-                    row[op] = compiled.server_index[target]
-                    rows.setdefault(tenant, []).append(row)
-                    keys.setdefault(tenant, []).append(
-                        (tenant, operation, target)
-                    )
-            priced: dict[tuple[str, str, str], float] = {}
-            if self.config.parallel_workers > 1 and len(rows) > 1:
+                rows = np.repeat(base[None, :], len(columns), axis=0)
+                rows[:, compiled.op_index[operation]] = columns
+                fresh.setdefault(tenant, {})[key] = rows
+            # one model lookup per tenant with a row, priced or not: the
+            # same cost-model traffic (and hit counter) as re-pricing
+            models = {tenant: state.cost_model(tenant) for tenant in tenants}
+            batches = {
+                tenant: np.concatenate(list(rows.values()))
+                for tenant, rows in fresh.items()
+            }
+            if self.config.parallel_workers > 1 and len(batches) > 1:
                 # one PricingTask per tenant, fanned across the pool;
                 # same kernel in every worker, so the floats (and the
-                # moves chosen from them) match the serial loop below
+                # moves chosen from them) match the serial branch
                 from repro.parallel.worker import (
                     PricingTask,
                     payload_from,
                     run_pricing_task,
                 )
 
-                tenants = list(rows)
                 tasks = [
                     PricingTask(
                         index=position,
                         payload=payload_from(
                             state.tenant(tenant).workflow,
                             network,
-                            state.cost_model(tenant),
+                            models[tenant],
                         ),
-                        rows=tuple(tuple(row) for row in rows[tenant]),
+                        rows=batch,
                     )
-                    for position, tenant in enumerate(tenants)
+                    for position, (tenant, batch) in enumerate(
+                        batches.items()
+                    )
                 ]
-                executions = self._pricing_pool().map_plain(
+                results = self._pricing_pool().map_plain(
                     run_pricing_task, tasks
                 )
-                for tenant, tenant_execs in zip(tenants, executions):
-                    for key, execution in zip(keys[tenant], tenant_execs):
-                        priced[key] = float(execution)
-                return priced
-            for tenant, tenant_rows in rows.items():
-                compiled = state.cost_model(tenant).compiled
-                scores = compiled.batch_evaluator().evaluate(tenant_rows)
-                for key, execution in zip(keys[tenant], scores.execution):
-                    priced[key] = float(execution)
-            return priced
+                executions = {
+                    tenant: np.asarray(values, dtype=np.float64)
+                    for tenant, values in zip(batches, results)
+                }
+            else:
+                executions = {
+                    tenant: models[tenant]
+                    .compiled.batch_evaluator()
+                    .execution(batch)
+                    for tenant, batch in batches.items()
+                }
+            for tenant, rows_by_pair in fresh.items():
+                values = executions[tenant]
+                start = 0
+                for key, rows in rows_by_pair.items():
+                    priced[key] = values[start:start + len(rows)]
+                    start += len(rows)
 
         def steps() -> Iterator[SearchStep]:
-            nonlocal current, loads, migration_total
+            nonlocal current, loads, base_loads, migration_total
             yield SearchStep(current, lambda: tuple(moves), evals=1)
             for _ in range(max_moves):
-                best: tuple | None = None
-                scanned = 0
                 pairs = candidates(loads)
-                priced = price_candidates(pairs)
+                price(pairs)
+                # per scored pair: (tenant, operation, source, targets)
+                scored: list[tuple[str, str, str, list[str]]] = []
+                offsets: list[int] = []
+                candidate_exec: list["np.ndarray"] = []
+                others: list[float] = []
+                weights: list[float] = []
+                sources: list[int] = []
+                sinks: list[int] = []
+                best_other: dict[str, float] = {}
+                scanned = 0
                 for tenant, operation in pairs:
-                    record = state.tenant(tenant)
                     compiled = state.cost_model(tenant).compiled
-                    source = record.deployment.server_of(operation)
-                    weighted = compiled.wcycles[compiled.op_index[operation]]
-                    destinations = (
-                        targets
-                        if targets is not None
-                        else network.server_names
+                    source = state.tenant(tenant).deployment.server_of(
+                        operation
                     )
-                    for target in destinations:
-                        if target == source:
-                            continue
-                        tenant_exec = priced[(tenant, operation, target)]
-                        trial_loads = dict(loads)
-                        trial_loads[source] -= (
-                            weighted / network.server(source).power_hz
+                    moved_to = [
+                        target for target in destinations if target != source
+                    ]
+                    if not moved_to:
+                        continue
+                    if tenant not in best_other:
+                        best_other[tenant] = max(
+                            (
+                                value
+                                for name, value in exec_times.items()
+                                if name != tenant
+                            ),
+                            default=-math.inf,
                         )
-                        trial_loads[target] += (
-                            weighted / network.server(target).power_hz
+                    scored.append((tenant, operation, source, moved_to))
+                    offsets.append(scanned)
+                    scanned += len(moved_to)
+                    candidate_exec.append(priced[(tenant, operation)])
+                    others.append(best_other[tenant])
+                    weights.append(
+                        compiled.wcycles[compiled.op_index[operation]]
+                    )
+                    sources.append(column[source])
+                    sinks.extend(column[target] for target in moved_to)
+                self.evaluations += scanned
+                best = None
+                if scanned:
+                    counts = np.diff(offsets + [scanned])
+                    tenant_exec = np.concatenate(candidate_exec)
+                    execution = np.maximum(
+                        np.repeat(others, counts), tenant_exec
+                    )
+                    weighted = np.repeat(weights, counts)
+                    source_cols = np.repeat(sources, counts)
+                    sink_cols = np.array(sinks)
+                    rows = np.arange(scanned)
+                    trial = np.repeat(base_loads[None, :], scanned, axis=0)
+                    trial[rows, source_cols] -= weighted / power[source_cols]
+                    trial[rows, sink_cols] += weighted / power[sink_cols]
+                    value = state.objective_value(
+                        execution, penalty_rows(trial, state.penalty_mode)
+                    )
+                    if aware:
+                        costs = np.array(
+                            [
+                                move_cost(tenant, operation, source, target)
+                                for tenant, operation, source, moved_to in (
+                                    scored
+                                )
+                                for target in moved_to
+                            ]
                         )
-                        trial_execs = dict(exec_times)
-                        trial_execs[tenant] = tenant_exec
-                        value = objective(trial_execs, trial_loads)
-                        scanned += 1
-                        if aware:
-                            cost = move_cost(
-                                tenant, operation, source, target
-                            )
-                            net = value + (
-                                self.config.migration_weight * cost
-                            )
-                        else:
-                            cost = 0.0
-                            net = value
-                        if net < current - threshold and (
-                            best is None or net < best[0]
-                        ):
-                            best = (
-                                net,
-                                tenant,
-                                operation,
-                                source,
-                                target,
-                                tenant_exec,
-                                trial_loads,
-                                value,
-                                cost,
-                            )
+                        net = value + self.config.migration_weight * costs
+                    else:
+                        net = value
+                    eligible = net < current - threshold
+                    if eligible.any():
+                        best = int(np.argmin(np.where(eligible, net, np.inf)))
                 if best is None:
                     yield SearchStep(
                         current,
@@ -989,19 +1050,27 @@ class FleetController:
                         rejected=scanned,
                     )
                     break
-                (_net, tenant, operation, source, target,
-                 tenant_exec, new_loads, value, cost) = best
-                if migration_model is not None and not aware:
+                pair = bisect_right(offsets, best) - 1
+                tenant, operation, source, moved_to = scored[pair]
+                target = moved_to[best - offsets[pair]]
+                if aware:
+                    cost = float(costs[best])
+                elif migration_model is not None:
                     # weight 0: the move was chosen blind, but its cost
                     # is still billed (benchmarks charge naive churn)
                     cost = move_cost(tenant, operation, source, target)
+                else:
+                    cost = 0.0
                 state.tenant(tenant).deployment.assign(operation, target)
-                exec_times[tenant] = tenant_exec
+                exec_times[tenant] = float(tenant_exec[best])
+                for key in [key for key in priced if key[0] == tenant]:
+                    del priced[key]
                 # the standing objective never carries the one-time
                 # migration term -- hysteresis compares future nets
                 # against the objective actually achieved
-                current = value
-                loads = new_loads
+                current = float(value[best])
+                base_loads = trial[best].copy()
+                loads = dict(zip(names, base_loads.tolist()))
                 if migration_model is not None:
                     migration_total += cost
                     self.migration_paid += cost

@@ -147,3 +147,33 @@ def test_heaviest_group_priority():
     network = bus_network([1e9, 3e9], speed_bps=100e6)
     deployment = HeavyOpsLargeMsgs().deploy(workflow, network)
     assert deployment.server_of("O1") == "S2"  # 90M cycles -> 3 GHz budget
+
+
+def test_bus_equivalent_is_derived_once_per_deploy(monkeypatch):
+    """The link scan runs once per deployment, not once per step."""
+    workflow = line_with_sizes([1e6, 10.0, 1e6, 10.0])
+    network = bus_network([1e9, 2e9, 3e9], speed_bps=1e6)
+    calls = []
+    original = HeavyOpsLargeMsgs._bus_equivalent
+
+    def counting(net):
+        calls.append(net)
+        return original(net)
+
+    monkeypatch.setattr(
+        HeavyOpsLargeMsgs, "_bus_equivalent", staticmethod(counting)
+    )
+    deployment = HeavyOpsLargeMsgs().deploy(workflow, network)
+    assert deployment.is_complete(workflow)
+    assert calls == [network]
+
+
+def test_bus_equivalent_of_a_line_is_conservative():
+    network = line_network([1e9, 2e9, 3e9], speeds_bps=[1e6, 100e6])
+    speed, propagation = HeavyOpsLargeMsgs._bus_equivalent(network)
+    assert speed == 1e6
+    assert propagation == max(link.propagation_s for link in network.links)
+
+
+def test_bus_equivalent_of_one_server_is_none():
+    assert HeavyOpsLargeMsgs._bus_equivalent(bus_network([1e9], 1e6)) is None

@@ -4,8 +4,9 @@ The parity property suite (``tests/properties/test_property_batch``)
 pins the kernel's numerics against the scalar compiled path over random
 instances; these tests cover the API surface and the degenerate batch
 shapes the issue calls out -- ``K=0``, ``K=1``, duplicate rows, the
-all-ops-on-one-server antagonism row -- plus the NumPy import guard and
-the shared-artifact memoisation.
+all-ops-on-one-server antagonism row -- plus the NumPy import guard,
+the shared-artifact memoisation, the execution-only entry point and the
+left-fold exactness the scalar path keeps on every Python version.
 """
 
 import random
@@ -13,9 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchEvaluator, BatchScores
-from repro.core.compiled import CompiledInstance
-from repro.core.workflow import Operation, Workflow
+from repro.core.batch import BatchEvaluator, BatchScores, penalty_rows
+from repro.core.compiled import CompiledInstance, penalty_statistic
+from repro.core.cost import CostModel
+from repro.core.incremental import MoveEvaluator
+from repro.core.mapping import Deployment
+from repro.core.migration import PENALTY_MODES
+from repro.core.workflow import NodeKind, Operation, Workflow
 from repro.exceptions import DeploymentError
 from repro.network.topology import Link, bus_network
 from repro.workloads.generator import (
@@ -290,3 +295,83 @@ class TestScopedRefreshSizedPairs:
         assert scores.execution[0] == fresh_scores.execution[0]
         assert scores.objective[0] == fresh_scores.objective[0]
         assert scores.execution[0] > before  # the z detour is gone
+
+
+class TestExecutionEntry:
+    def test_matches_evaluate_bitwise(self, compiled, evaluator):
+        batch = random_batch(compiled, 64, seed=21)
+        execution = evaluator.execution(batch)
+        assert execution.tobytes() == evaluator.evaluate(batch).execution.tobytes()
+
+    def test_empty_batch(self, evaluator):
+        assert evaluator.execution([]).shape == (0,)
+
+    def test_validates_like_evaluate(self, evaluator):
+        with pytest.raises(DeploymentError):
+            evaluator.execution([[0]])
+
+
+#: One large load and ten tiny ones: a left fold and a compensated sum
+#: (Python 3.12's builtin ``sum()``) round this differently.
+ADVERSARIAL = [1.0] + [1e-16] * 10
+
+
+class TestPenaltyRows:
+    @pytest.mark.parametrize("mode", PENALTY_MODES)
+    def test_matches_penalty_statistic_bitwise(self, mode):
+        rng = np.random.default_rng(5)
+        loads = rng.lognormal(size=(200, 7)) * rng.choice(
+            [1e-9, 1.0, 1e9], size=(200, 1)
+        )
+        rows = penalty_rows(loads, mode)
+        for k in range(len(loads)):
+            assert rows[k] == penalty_statistic(loads[k].tolist(), mode)
+
+    @pytest.mark.parametrize("mode", PENALTY_MODES)
+    def test_adversarial_vector(self, mode):
+        row = penalty_rows(np.array([ADVERSARIAL]), mode)[0]
+        assert float(row).hex() == penalty_statistic(ADVERSARIAL, mode).hex()
+
+
+def adversarial_xor_instance():
+    """split -> XOR(11 branches) -> join, weighted terms ``ADVERSARIAL``.
+
+    On one 1 GHz server the join's probability-weighted arrivals are
+    ``0.5 * 2.0`` and ten of ``0.05 * 2e-15``.
+    """
+    workflow = Workflow("adversarial-xor")
+    workflow.add_operation(Operation("split", 0.0, NodeKind.XOR_SPLIT))
+    workflow.add_operation(Operation("join", 0.0, NodeKind.XOR_JOIN))
+    branches = [("b0", 2e9, 0.5)] + [
+        (f"b{i}", 2e-6, 0.05) for i in range(1, 11)
+    ]
+    for name, cycles, probability in branches:
+        workflow.add_operation(Operation(name, cycles))
+        workflow.connect("split", name, 0.0, probability)
+        workflow.connect(name, "join", 0.0)
+    network = bus_network([1e9, 1e9], 1e8)
+    return workflow, network
+
+
+class TestXorJoinFold:
+    def test_forward_pass_matches_batch_execution(self):
+        workflow, network = adversarial_xor_instance()
+        compiled = CompiledInstance(workflow, network)
+        row = [0] * compiled.num_ops
+        scalar = compiled.execution_from(compiled.forward_pass(row))
+        batch = compiled.batch_evaluator().execution([row])[0]
+        assert float(batch).hex() == scalar.hex()
+
+    def test_move_evaluator_matches_batch_execution(self):
+        workflow, network = adversarial_xor_instance()
+        model = CostModel(workflow, network)
+        servers = network.server_names
+        deployment = Deployment(
+            {name: servers[0] for name in workflow.operation_names}
+        )
+        deployment.assign("b3", servers[1])
+        outcome = MoveEvaluator(model, deployment).propose("b3", servers[0])
+        compiled = model.compiled
+        row = [0] * compiled.num_ops
+        batch = compiled.batch_evaluator().execution([row])[0]
+        assert float(batch).hex() == outcome.execution_time.hex()

@@ -43,6 +43,13 @@ class TestCompiledGraph:
         assert propagation == 0.010 + 0.010
         assert transfer == 1.0 / 1e9 + 1.0 / 1e9
 
+    def test_edge_maps_mirror_adjacency(self):
+        graph = apsp.compile_graph(_diamond())
+        for row, edges in zip(graph.adjacency, graph.edges):
+            assert list(edges) == [u for u, *_ in row]
+            for u, propagation, inv, _speed in row:
+                assert edges[u] == (propagation, inv)
+
     def test_to_names(self):
         graph = apsp.compile_graph(_diamond())
         assert graph.to_names((0, 2, 3)) == ("S0", "S2", "S3")

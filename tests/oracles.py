@@ -22,25 +22,32 @@ parity suites compare the production code against:
   retired per-pair route fill with it: :func:`lazy_router` classifies
   one pair per cache miss with two targeted Dijkstra queries, and the
   compiled route tables resolve each slot on first read.
+* :func:`use_retired_rebalance` -- the fleet's greedy rebalance as it
+  was before each round got one pricing and one scoring pass: every
+  round re-prices every candidate through the full batch kernel and
+  scores candidates one at a time. Production must make the same moves
+  and leave the same counters.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from contextlib import contextmanager
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 from unittest import mock
 
 import numpy as np
 
 from repro.algorithms.base import ProblemContext
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
-from repro.algorithms.runtime import SearchStep
+from repro.algorithms.runtime import CancelToken, SearchRuntime, SearchStep
 from repro.core.batch import BatchScores
 from repro.core.compiled import CompiledInstance
 from repro.core.mapping import Deployment
 from repro.network import apsp
+from repro.service.state import load_penalty
 
 __all__ = [
     "FullEvaluationHillClimbing",
@@ -48,6 +55,7 @@ __all__ = [
     "ScalarBatchEvaluator",
     "lazy_router",
     "scalar_pricing",
+    "use_retired_rebalance",
     "use_route_invalidation",
 ]
 
@@ -157,6 +165,17 @@ class ScalarBatchEvaluator:
                 row[op] = server
                 grid.append(row)
         return grid
+
+    def execution(self, rows) -> np.ndarray:
+        return np.array(
+            [
+                self.compiled.execution_from(
+                    self.compiled.forward_pass([int(s) for s in row])
+                )
+                for row in rows
+            ],
+            dtype=np.float64,
+        )
 
     def evaluate(self, rows) -> BatchScores:
         scored = [
@@ -310,4 +329,247 @@ def use_route_invalidation(controller, mode: str):
         state._invalidate_routes = partial(
             _INVALIDATION_ORACLES[mode], state
         )
+    return controller
+
+
+def retired_greedy_moves(
+    self,
+    targets: Sequence[str] | None,
+    candidates: Callable[[dict[str, float]], list[tuple[str, str]]],
+    max_moves: int,
+) -> tuple[list[tuple[str, str, str, str]], float, float, float]:
+    """The retired per-candidate rebalance scan, verbatim.
+
+    Every round re-prices every candidate pair through the full
+    batch kernel, then scores one candidate at a time: two dict
+    copies and one O(S) ``load_penalty`` call each.
+    """
+    state = self.state
+    network = state.network
+    exec_times = {
+        tenant: state.cost_model(tenant).execution_time(
+            state.tenant(tenant).deployment
+        )
+        for tenant in state.tenants
+    }
+    loads = state.combined_loads()
+
+    def objective(execs: dict[str, float], load_map: dict[str, float]) -> float:
+        self.evaluations += 1
+        execution = max(execs.values(), default=0.0)
+        penalty = load_penalty(list(load_map.values()), state.penalty_mode)
+        # the one fleet-level combine, shared with FleetState.snapshot
+        return state.objective_value(execution, penalty)
+
+    migration_model = self.config.migration
+    aware = self._transition_aware
+    # min_gain == 0 keeps the historical strict-improvement epsilon
+    threshold = (
+        self.config.rebalance_min_gain
+        if self.config.rebalance_min_gain > 0.0
+        else 1e-12
+    )
+
+    def move_cost(
+        tenant: str, operation: str, source: str, target: str
+    ) -> float:
+        """One-time cost of moving *operation*'s state to *target*.
+
+        Checkpoint transfer over the fleet's current links (routed
+        through the tenant's compiled instance) plus the model's
+        fixed downtime. State size scales with the operation's raw
+        cycle count -- probability never shrinks a checkpoint.
+        """
+        compiled = state.cost_model(tenant).compiled
+        op = compiled.op_index[operation]
+        return migration_model.downtime_s + compiled.delay(
+            compiled.server_index[source],
+            compiled.server_index[target],
+            migration_model.state_bits(compiled.cycles[op]),
+        )
+
+    current = objective(exec_times, loads)
+    before = current
+    migration_total = 0.0
+    moves: list[tuple[str, str, str, str]] = []
+
+    def price_candidates(
+        pairs: list[tuple[str, str]],
+    ) -> dict[tuple[str, str, str], float]:
+        """Batch-price tenant execution for every candidate move.
+
+        One kernel call per tenant per round over that tenant's
+        ``(operation, target)`` rows.
+        """
+        rows: dict[str, list[list[int]]] = {}
+        keys: dict[str, list[tuple[str, str, str]]] = {}
+        for tenant, operation in pairs:
+            compiled = state.cost_model(tenant).compiled
+            deployment = state.tenant(tenant).deployment
+            source = deployment.server_of(operation)
+            base = compiled.server_vector(deployment)
+            op = compiled.op_index[operation]
+            destinations = (
+                targets if targets is not None else network.server_names
+            )
+            for target in destinations:
+                if target == source:
+                    continue
+                row = list(base)
+                row[op] = compiled.server_index[target]
+                rows.setdefault(tenant, []).append(row)
+                keys.setdefault(tenant, []).append(
+                    (tenant, operation, target)
+                )
+        priced: dict[tuple[str, str, str], float] = {}
+        if self.config.parallel_workers > 1 and len(rows) > 1:
+            # one PricingTask per tenant, fanned across the pool;
+            # same kernel in every worker, so the floats (and the
+            # moves chosen from them) match the serial loop below
+            from repro.parallel.worker import (
+                PricingTask,
+                payload_from,
+                run_pricing_task,
+            )
+
+            tenants = list(rows)
+            tasks = [
+                PricingTask(
+                    index=position,
+                    payload=payload_from(
+                        state.tenant(tenant).workflow,
+                        network,
+                        state.cost_model(tenant),
+                    ),
+                    rows=tuple(tuple(row) for row in rows[tenant]),
+                )
+                for position, tenant in enumerate(tenants)
+            ]
+            executions = self._pricing_pool().map_plain(
+                run_pricing_task, tasks
+            )
+            for tenant, tenant_execs in zip(tenants, executions):
+                for key, execution in zip(keys[tenant], tenant_execs):
+                    priced[key] = float(execution)
+            return priced
+        for tenant, tenant_rows in rows.items():
+            compiled = state.cost_model(tenant).compiled
+            scores = compiled.batch_evaluator().evaluate(tenant_rows)
+            for key, execution in zip(keys[tenant], scores.execution):
+                priced[key] = float(execution)
+        return priced
+
+    def steps() -> Iterator[SearchStep]:
+        nonlocal current, loads, migration_total
+        yield SearchStep(current, lambda: tuple(moves), evals=1)
+        for _ in range(max_moves):
+            best: tuple | None = None
+            scanned = 0
+            pairs = candidates(loads)
+            priced = price_candidates(pairs)
+            for tenant, operation in pairs:
+                record = state.tenant(tenant)
+                compiled = state.cost_model(tenant).compiled
+                source = record.deployment.server_of(operation)
+                weighted = compiled.wcycles[compiled.op_index[operation]]
+                destinations = (
+                    targets
+                    if targets is not None
+                    else network.server_names
+                )
+                for target in destinations:
+                    if target == source:
+                        continue
+                    tenant_exec = priced[(tenant, operation, target)]
+                    trial_loads = dict(loads)
+                    trial_loads[source] -= (
+                        weighted / network.server(source).power_hz
+                    )
+                    trial_loads[target] += (
+                        weighted / network.server(target).power_hz
+                    )
+                    trial_execs = dict(exec_times)
+                    trial_execs[tenant] = tenant_exec
+                    value = objective(trial_execs, trial_loads)
+                    scanned += 1
+                    if aware:
+                        cost = move_cost(
+                            tenant, operation, source, target
+                        )
+                        net = value + (
+                            self.config.migration_weight * cost
+                        )
+                    else:
+                        cost = 0.0
+                        net = value
+                    if net < current - threshold and (
+                        best is None or net < best[0]
+                    ):
+                        best = (
+                            net,
+                            tenant,
+                            operation,
+                            source,
+                            target,
+                            tenant_exec,
+                            trial_loads,
+                            value,
+                            cost,
+                        )
+            if best is None:
+                yield SearchStep(
+                    current,
+                    lambda: tuple(moves),
+                    evals=scanned,
+                    rejected=scanned,
+                )
+                break
+            (_net, tenant, operation, source, target,
+             tenant_exec, new_loads, value, cost) = best
+            if migration_model is not None and not aware:
+                # weight 0: the move was chosen blind, but its cost
+                # is still billed (benchmarks charge naive churn)
+                cost = move_cost(tenant, operation, source, target)
+            state.tenant(tenant).deployment.assign(operation, target)
+            exec_times[tenant] = tenant_exec
+            # the standing objective never carries the one-time
+            # migration term -- hysteresis compares future nets
+            # against the objective actually achieved
+            current = value
+            loads = new_loads
+            if migration_model is not None:
+                migration_total += cost
+                self.migration_paid += cost
+            moves.append((tenant, operation, source, target))
+            yield SearchStep(
+                current,
+                lambda: tuple(moves),
+                evals=scanned,
+                accepted=1,
+                rejected=scanned - 1,
+            )
+
+    cancel = CancelToken()
+    self._active_rebalance_cancel = cancel
+    runtime = SearchRuntime(
+        budget=self.config.rebalance_budget,
+        cancel=cancel,
+        on_progress=self.on_search_step,
+    )
+    try:
+        outcome = runtime.run(steps())
+    finally:
+        self._active_rebalance_cancel = None
+    self.last_rebalance_report = outcome.report
+    return moves, before, current, migration_total
+
+
+def use_retired_rebalance(controller):
+    """Switch *controller*'s greedy rebalance to the retired scan.
+
+    Returns the controller.
+    """
+    controller._greedy_moves = types.MethodType(
+        retired_greedy_moves, controller
+    )
     return controller
