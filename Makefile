@@ -25,7 +25,7 @@ bench:
 # hill climber against its frozen full-evaluation copy, the
 # compiled-vs-legacy parity check, the legacy-loop
 # parity of the search runtime, the batch-vs-scalar parity of the
-# vectorized kernel, the 2-worker process pool (islands/portfolio +
+# vectorized kernel, the 2-worker process pool (portfolio race +
 # workers=1 identity), the transition-aware-vs-blind drift replay, the
 # naive-vs-rebalancing Abilene link-failure replay, and the batched
 # route-compile / scoped-invalidation comparison, and the fleet

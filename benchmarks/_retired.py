@@ -1,90 +1,28 @@
-"""Frozen copies of retired production paths, for benchmark baselines.
+"""A frozen copy of a retired production path, for benchmark baselines.
 
 :class:`~repro.algorithms.local_search.HillClimbing` now has one sweep:
-the whole single-move grid per round through the batch kernel. The two
-per-candidate sweeps it replaced are kept here verbatim as runtime-driven
-step generators, so the benches can still time and check against them:
+the whole single-move grid per round through the batch kernel. One of
+the per-candidate sweeps it replaced is kept here verbatim as a
+runtime-driven step generator, so the runtime bench can still time it:
 
-* :class:`FullEvaluationHillClimbing` -- one full
-  ``CostModel.objective()`` per candidate move;
 * :class:`IncrementalHillClimbing` -- one
   ``MoveEvaluator.propose_value`` per candidate move.
 
-Route tables are now compiled whole. The per-pair fill they replaced is
-kept for the routing bench:
-
-* :func:`lazy_router` -- a router that classifies one pair per cache
-  miss with two targeted Dijkstra queries;
-* :func:`invalidate_lazy` -- the retired ``lazy`` fleet invalidation
-  policy: drop every route, then refill per pair on first read.
-
-The fleet's greedy rebalance now prices each candidate pair once per
-call and scores a round in one vectorised pass. The scan it replaced is
-kept for the rebalance bench:
-
-* :func:`use_retired_rebalance` -- every round re-prices every
-  candidate through the full batch kernel and scores candidates one at
-  a time.
+The other retired paths the benches compare against (the
+full-evaluation hill climber, the lazy router and its invalidation
+policy, the per-candidate rebalance scan) are the parity oracles of
+the test suite, imported from :mod:`tests.oracles`.
 """
 
 from __future__ import annotations
 
-import types
-from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from repro.algorithms.base import ProblemContext
 from repro.algorithms.local_search import HillClimbing
-from repro.algorithms.runtime import CancelToken, SearchRuntime, SearchStep
+from repro.algorithms.runtime import SearchStep
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
-from repro.network import apsp
-from repro.service.state import load_penalty
-
-
-class FullEvaluationHillClimbing(HillClimbing):
-    """Best-improvement climbing, one full evaluation per candidate."""
-
-    def _deploy(self, context: ProblemContext) -> Deployment:
-        current = self._starting_mapping(context)
-        return context.search(self._steps_full(context, current)).best
-
-    def _steps_full(
-        self, context: ProblemContext, current: Deployment
-    ) -> Iterator[SearchStep]:
-        cost_model = context.cost_model
-        current_value = cost_model.objective(current)
-        yield SearchStep(current_value, current.copy, evals=1)
-        for _ in range(self.max_iterations):
-            best_move: tuple[str, str] | None = None
-            best_value = current_value
-            evals = 0
-            for operation in context.workflow.operation_names:
-                original = current.server_of(operation)
-                for server in context.network.server_names:
-                    if server == original:
-                        continue
-                    current.assign(operation, server)
-                    value = cost_model.objective(current)
-                    evals += 1
-                    if value < best_value:
-                        best_value = value
-                        best_move = (operation, server)
-                current.assign(operation, original)
-            if best_move is None:
-                yield SearchStep(
-                    best_value, current.copy, evals=evals, rejected=evals
-                )
-                break
-            current.assign(*best_move)
-            current_value = best_value
-            yield SearchStep(
-                best_value,
-                current.copy,
-                evals=evals,
-                accepted=1,
-                rejected=evals - 1,
-            )
 
 
 class IncrementalHillClimbing(HillClimbing):
@@ -127,330 +65,3 @@ class IncrementalHillClimbing(HillClimbing):
                 accepted=1,
                 rejected=evals - 1,
             )
-
-
-def _shortest_path(graph, source, target, weight):
-    """The retired ``apsp.shortest_path``: one targeted Dijkstra query."""
-    dist, parent = apsp._dijkstra(graph, source, weight, target=target)
-    if dist[target] is None:
-        raise apsp._no_route(graph, source, target)
-    return apsp._reconstruct(parent, source, target)
-
-
-def _build_route(router, source, target):
-    """The retired ``Router._build_route``: classify one pair on its own."""
-    graph = router._compiled_graph()
-    index = graph.index
-    a, b = source, target
-    if index[a] > index[b]:
-        a, b = b, a
-    path_zero = _shortest_path(
-        graph, index[a], index[b], apsp.WEIGHT_PROPAGATION
-    )
-    path_large = _shortest_path(
-        graph, index[a], index[b], apsp.WEIGHT_TRANSFER
-    )
-    router.dijkstra_runs += 2
-    router._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
-    return router._route_cache[(source, target)]
-
-
-def _lazy_route(router, source, target):
-    """``Router._route`` with the retired per-pair miss path."""
-    route = router._route_cache.get((source, target))
-    if route is None:
-        router._network.server(source)
-        router._network.server(target)
-        router.misses += 1
-        route = _build_route(router, source, target)
-    elif route.size_independent:
-        router.hits += 1
-    return route
-
-
-def lazy_router(router):
-    """Make *router* classify one pair per cache miss; returns it."""
-    router._route = partial(_lazy_route, router)
-    return router
-
-
-class _LazyRouteRow(list):
-    """One row of the retired lazy route table: ``None`` slots resolve
-    through the router's ``pair_coefficients`` on first read."""
-
-    def __init__(self, compiled, source):
-        super().__init__([None] * compiled.num_servers)
-        self[source] = (0.0, 0.0)
-        self.compiled = compiled
-        self.source = source
-
-    def __getitem__(self, target):
-        coeff = list.__getitem__(self, target)
-        if coeff is None:
-            names = self.compiled.server_names
-            coeff = self.compiled.router.pair_coefficients(
-                names[self.source], names[target]
-            )
-            if coeff is None:
-                coeff = ()  # size-dependent pair: router answers per size
-            self[target] = coeff
-        return coeff
-
-
-def invalidate_lazy(state, *_args, **_kwargs):
-    """``FleetState._invalidate_routes`` in the retired ``lazy`` mode."""
-    state.epoch += 1
-    router = lazy_router(state._router)
-    # the retired Router.clear_cache: drop every route, reset traffic
-    router._drop_all_routes()
-    router.hits = 0
-    router.misses = 0
-    for model in state._cost_models.values():
-        # the retired CompiledInstance.reset_routes
-        compiled = model.compiled
-        compiled.routes = [
-            _LazyRouteRow(compiled, i) for i in range(compiled.num_servers)
-        ]
-        compiled._batch = None
-        if compiled.transition_aware:
-            compiled.migration_table = compiled._compile_migration_table()
-
-
-def retired_greedy_moves(
-    self,
-    targets: Sequence[str] | None,
-    candidates: Callable[[dict[str, float]], list[tuple[str, str]]],
-    max_moves: int,
-) -> tuple[list[tuple[str, str, str, str]], float, float, float]:
-    """The retired per-candidate rebalance scan, verbatim.
-
-    Every round re-prices every candidate pair through the full
-    batch kernel, then scores one candidate at a time: two dict
-    copies and one O(S) ``load_penalty`` call each.
-    """
-    state = self.state
-    network = state.network
-    exec_times = {
-        tenant: state.cost_model(tenant).execution_time(
-            state.tenant(tenant).deployment
-        )
-        for tenant in state.tenants
-    }
-    loads = state.combined_loads()
-
-    def objective(execs: dict[str, float], load_map: dict[str, float]) -> float:
-        self.evaluations += 1
-        execution = max(execs.values(), default=0.0)
-        penalty = load_penalty(list(load_map.values()), state.penalty_mode)
-        # the one fleet-level combine, shared with FleetState.snapshot
-        return state.objective_value(execution, penalty)
-
-    migration_model = self.config.migration
-    aware = self._transition_aware
-    # min_gain == 0 keeps the historical strict-improvement epsilon
-    threshold = (
-        self.config.rebalance_min_gain
-        if self.config.rebalance_min_gain > 0.0
-        else 1e-12
-    )
-
-    def move_cost(
-        tenant: str, operation: str, source: str, target: str
-    ) -> float:
-        """One-time cost of moving *operation*'s state to *target*.
-
-        Checkpoint transfer over the fleet's current links (routed
-        through the tenant's compiled instance) plus the model's
-        fixed downtime. State size scales with the operation's raw
-        cycle count -- probability never shrinks a checkpoint.
-        """
-        compiled = state.cost_model(tenant).compiled
-        op = compiled.op_index[operation]
-        return migration_model.downtime_s + compiled.delay(
-            compiled.server_index[source],
-            compiled.server_index[target],
-            migration_model.state_bits(compiled.cycles[op]),
-        )
-
-    current = objective(exec_times, loads)
-    before = current
-    migration_total = 0.0
-    moves: list[tuple[str, str, str, str]] = []
-
-    def price_candidates(
-        pairs: list[tuple[str, str]],
-    ) -> dict[tuple[str, str, str], float]:
-        """Batch-price tenant execution for every candidate move.
-
-        One kernel call per tenant per round over that tenant's
-        ``(operation, target)`` rows.
-        """
-        rows: dict[str, list[list[int]]] = {}
-        keys: dict[str, list[tuple[str, str, str]]] = {}
-        for tenant, operation in pairs:
-            compiled = state.cost_model(tenant).compiled
-            deployment = state.tenant(tenant).deployment
-            source = deployment.server_of(operation)
-            base = compiled.server_vector(deployment)
-            op = compiled.op_index[operation]
-            destinations = (
-                targets if targets is not None else network.server_names
-            )
-            for target in destinations:
-                if target == source:
-                    continue
-                row = list(base)
-                row[op] = compiled.server_index[target]
-                rows.setdefault(tenant, []).append(row)
-                keys.setdefault(tenant, []).append(
-                    (tenant, operation, target)
-                )
-        priced: dict[tuple[str, str, str], float] = {}
-        if self.config.parallel_workers > 1 and len(rows) > 1:
-            # one PricingTask per tenant, fanned across the pool;
-            # same kernel in every worker, so the floats (and the
-            # moves chosen from them) match the serial loop below
-            from repro.parallel.worker import (
-                PricingTask,
-                payload_from,
-                run_pricing_task,
-            )
-
-            tenants = list(rows)
-            tasks = [
-                PricingTask(
-                    index=position,
-                    payload=payload_from(
-                        state.tenant(tenant).workflow,
-                        network,
-                        state.cost_model(tenant),
-                    ),
-                    rows=tuple(tuple(row) for row in rows[tenant]),
-                )
-                for position, tenant in enumerate(tenants)
-            ]
-            executions = self._pricing_pool().map_plain(
-                run_pricing_task, tasks
-            )
-            for tenant, tenant_execs in zip(tenants, executions):
-                for key, execution in zip(keys[tenant], tenant_execs):
-                    priced[key] = float(execution)
-            return priced
-        for tenant, tenant_rows in rows.items():
-            compiled = state.cost_model(tenant).compiled
-            scores = compiled.batch_evaluator().evaluate(tenant_rows)
-            for key, execution in zip(keys[tenant], scores.execution):
-                priced[key] = float(execution)
-        return priced
-
-    def steps() -> Iterator[SearchStep]:
-        nonlocal current, loads, migration_total
-        yield SearchStep(current, lambda: tuple(moves), evals=1)
-        for _ in range(max_moves):
-            best: tuple | None = None
-            scanned = 0
-            pairs = candidates(loads)
-            priced = price_candidates(pairs)
-            for tenant, operation in pairs:
-                record = state.tenant(tenant)
-                compiled = state.cost_model(tenant).compiled
-                source = record.deployment.server_of(operation)
-                weighted = compiled.wcycles[compiled.op_index[operation]]
-                destinations = (
-                    targets
-                    if targets is not None
-                    else network.server_names
-                )
-                for target in destinations:
-                    if target == source:
-                        continue
-                    tenant_exec = priced[(tenant, operation, target)]
-                    trial_loads = dict(loads)
-                    trial_loads[source] -= (
-                        weighted / network.server(source).power_hz
-                    )
-                    trial_loads[target] += (
-                        weighted / network.server(target).power_hz
-                    )
-                    trial_execs = dict(exec_times)
-                    trial_execs[tenant] = tenant_exec
-                    value = objective(trial_execs, trial_loads)
-                    scanned += 1
-                    if aware:
-                        cost = move_cost(
-                            tenant, operation, source, target
-                        )
-                        net = value + (
-                            self.config.migration_weight * cost
-                        )
-                    else:
-                        cost = 0.0
-                        net = value
-                    if net < current - threshold and (
-                        best is None or net < best[0]
-                    ):
-                        best = (
-                            net,
-                            tenant,
-                            operation,
-                            source,
-                            target,
-                            tenant_exec,
-                            trial_loads,
-                            value,
-                            cost,
-                        )
-            if best is None:
-                yield SearchStep(
-                    current,
-                    lambda: tuple(moves),
-                    evals=scanned,
-                    rejected=scanned,
-                )
-                break
-            (_net, tenant, operation, source, target,
-             tenant_exec, new_loads, value, cost) = best
-            if migration_model is not None and not aware:
-                # weight 0: the move was chosen blind, but its cost
-                # is still billed (benchmarks charge naive churn)
-                cost = move_cost(tenant, operation, source, target)
-            state.tenant(tenant).deployment.assign(operation, target)
-            exec_times[tenant] = tenant_exec
-            # the standing objective never carries the one-time
-            # migration term -- hysteresis compares future nets
-            # against the objective actually achieved
-            current = value
-            loads = new_loads
-            if migration_model is not None:
-                migration_total += cost
-                self.migration_paid += cost
-            moves.append((tenant, operation, source, target))
-            yield SearchStep(
-                current,
-                lambda: tuple(moves),
-                evals=scanned,
-                accepted=1,
-                rejected=scanned - 1,
-            )
-
-    cancel = CancelToken()
-    self._active_rebalance_cancel = cancel
-    runtime = SearchRuntime(
-        budget=self.config.rebalance_budget,
-        cancel=cancel,
-        on_progress=self.on_search_step,
-    )
-    try:
-        outcome = runtime.run(steps())
-    finally:
-        self._active_rebalance_cancel = None
-    self.last_rebalance_report = outcome.report
-    return moves, before, current, migration_total
-
-
-def use_retired_rebalance(controller):
-    """Switch *controller*'s greedy rebalance to the retired scan."""
-    controller._greedy_moves = types.MethodType(
-        retired_greedy_moves, controller
-    )
-    return controller

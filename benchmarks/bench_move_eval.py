@@ -2,7 +2,7 @@
 
 The hill climber scans ``M x (N - 1)`` candidate moves per round. With
 full evaluation each candidate costs a complete cost-model sweep (the
-retired sweep, frozen in ``_retired.py``); the production
+retired sweep, frozen in ``tests/oracles.py``); the production
 :class:`~repro.algorithms.local_search.HillClimbing` prices the whole
 grid in one batch-kernel call. This bench times both climbs on the
 reference 20-operation x 10-server instance, checks they return the
@@ -35,9 +35,9 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationHillClimbing
 
 from _common import emit, perf_floor, write_json
-from _retired import FullEvaluationHillClimbing
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 

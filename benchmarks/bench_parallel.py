@@ -1,15 +1,8 @@
-"""Benchmark: the multiprocess shard & portfolio runtime.
+"""Benchmark: the multiprocess restart & portfolio runtime.
 
-Three measurements on the 100-operation x 50-server scaling instance
+Two measurements on the 100-operation x 50-server reference instance
 (the parallel layer's reference size):
 
-* **GA islands throughput scaling** -- generations/second of the
-  island-model genetic search at 1 worker vs ``SCALE_WORKERS`` workers.
-  On a multi-core box the acceptance floor is >= 2.5x at 4 workers
-  (env-tunable via ``BENCH_FLOOR_PARALLEL_GA``); on machines with fewer
-  cores than ``SCALE_WORKERS`` the assertion is skipped -- there is no
-  parallel hardware to measure -- but both throughputs are still
-  recorded in ``output/BENCH_parallel.json``.
 * **Portfolio race** -- wall-clock and winner of the default portfolio
   under a shared evaluation budget, serial (workers=1 inline) vs the
   process pool.
@@ -19,9 +12,8 @@ Three measurements on the 100-operation x 50-server scaling instance
   family (asserted here so the contract is re-checked on every bench
   run, smoke included).
 
-Set ``BENCH_SMOKE=1`` for the CI smoke run: a small instance, 2
-workers, few generations -- it exercises the process pool and the
-identity checks without asserting the scaling floor.
+Set ``BENCH_SMOKE=1`` for the CI smoke run: a small instance and 2
+workers -- it exercises the process pool and the identity checks.
 """
 
 import dataclasses
@@ -41,29 +33,22 @@ from repro.workloads.generator import (
     random_graph_workflow,
 )
 
-from _common import emit, perf_floor, write_json
+from _common import emit, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
-#: Scaling reference instance: 100 operations on 50 servers.
+#: Reference instance: 100 operations on 50 servers.
 NUM_OPERATIONS = 12 if SMOKE else 100
 NUM_SERVERS = 5 if SMOKE else 50
-GENERATIONS = 6 if SMOKE else 40
-POPULATION = 12 if SMOKE else 30
-SCALE_WORKERS = 2 if SMOKE else 4
+RACE_WORKERS = 2 if SMOKE else 4
 PORTFOLIO_EVALS = 2_000 if SMOKE else 20_000
-
-#: GA generations/sec floor at SCALE_WORKERS vs 1 worker, asserted only
-#: when the machine actually has that many cores (and not in smoke).
-GA_SCALING_FLOOR = perf_floor("PARALLEL_GA", 2.5)
 
 _RESULTS: dict = {
     "smoke": SMOKE,
     "operations": NUM_OPERATIONS,
     "servers": NUM_SERVERS,
     "cpu_count": os.cpu_count(),
-    "scale_workers": SCALE_WORKERS,
-    "ga_scaling_floor": GA_SCALING_FLOOR,
+    "race_workers": RACE_WORKERS,
 }
 
 
@@ -80,57 +65,6 @@ def _flush_results() -> None:
     write_json("BENCH_parallel", _RESULTS)
 
 
-def bench_ga_islands_scaling(benchmark, instance):
-    """GA generations/sec: 1 worker vs SCALE_WORKERS island workers."""
-    workflow, network, model = instance
-    ga = AlgorithmSpec.of(
-        "Genetic", generations=GENERATIONS, population_size=POPULATION
-    )
-
-    def run(workers: int) -> float:
-        start = time.perf_counter()
-        outcome = deploy_parallel(
-            ga,
-            workflow,
-            network,
-            cost_model=model,
-            workers=workers,
-            seed=7,
-            plan="islands" if workers > 1 else None,
-        )
-        elapsed = time.perf_counter() - start
-        assert outcome.best_value > 0
-        # every worker evolves GENERATIONS generations; throughput is
-        # total generations evolved across the fleet per second
-        return GENERATIONS * workers / elapsed
-
-    serial_gps = run(1)
-    parallel_gps = run(SCALE_WORKERS)
-    scaling = parallel_gps / serial_gps if serial_gps > 0 else float("inf")
-    cores = os.cpu_count() or 1
-    enough_cores = cores >= SCALE_WORKERS
-    _RESULTS["ga_generations_per_s_1w"] = serial_gps
-    _RESULTS[f"ga_generations_per_s_{SCALE_WORKERS}w"] = parallel_gps
-    _RESULTS["ga_scaling"] = scaling
-    _RESULTS["ga_scaling_asserted"] = bool(not SMOKE and enough_cores)
-    _flush_results()
-    emit(
-        "parallel_ga_scaling",
-        f"instance: {NUM_OPERATIONS} operations x {NUM_SERVERS} servers"
-        + (" (smoke)" if SMOKE else ""),
-        f"GA generations/sec, 1 worker:           {serial_gps:10.2f}",
-        f"GA generations/sec, {SCALE_WORKERS} island workers:   "
-        f"{parallel_gps:10.2f}",
-        f"scaling: {scaling:.2f}x (floor {GA_SCALING_FLOOR}x, "
-        f"{cores} cores available"
-        + ("" if enough_cores else " -- assertion skipped")
-        + ")",
-    )
-    if not SMOKE and enough_cores:
-        assert scaling >= GA_SCALING_FLOOR
-    benchmark(run, SCALE_WORKERS)
-
-
 def bench_portfolio_race(benchmark, instance):
     """Default-portfolio race under a shared evaluation budget."""
     workflow, network, model = instance
@@ -142,7 +76,7 @@ def bench_portfolio_race(benchmark, instance):
             workflow,
             network,
             cost_model=model,
-            workers=SCALE_WORKERS,
+            workers=RACE_WORKERS,
             seed=11,
             budget=budget,
             inline=inline,
@@ -169,7 +103,7 @@ def bench_portfolio_race(benchmark, instance):
         f"{PORTFOLIO_EVALS} shared evaluations"
         + (" (smoke)" if SMOKE else ""),
         f"sequential (inline):  {serial_s * 1e3:10.1f} ms",
-        f"{SCALE_WORKERS}-worker pool:        {parallel_s * 1e3:10.1f} ms",
+        f"{RACE_WORKERS}-worker pool:        {parallel_s * 1e3:10.1f} ms",
         f"winner: {winner.label} (objective {serial_outcome.best_value:.6g})",
     )
     benchmark(run, False)

@@ -5,7 +5,7 @@ fleet controller: once with the production
 ``FleetController._greedy_moves`` (each candidate pair priced once per
 call through ``BatchEvaluator.execution``, each round scored in one
 vectorised pass) and once with the retired per-candidate scan frozen in
-``_retired.py`` (every round re-prices every candidate through the full
+``tests/oracles.py`` (every round re-prices every candidate through the full
 kernel, then scores one candidate at a time).
 
 Asserted on every run, smoke included, because both are exact
@@ -30,9 +30,9 @@ from repro.core.batch import BatchEvaluator
 from repro.core.clock import StepClock
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
+from tests.oracles import use_retired_rebalance
 
 from _common import emit, perf_floor, write_json
-from _retired import use_retired_rebalance
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 

@@ -5,7 +5,7 @@ Two experiments over the routing layer (see DESIGN.md §15):
 * **compile** -- filling the full all-pairs route table of a 50-server
   geo fleet (complete, heterogeneous graph) two ways: the retired lazy
   path (every pair classified by its own targeted Dijkstra queries,
-  frozen in ``_retired.py``) versus
+  frozen in ``tests/oracles.py``) versus
   :meth:`~repro.network.routing.Router.compile_all_pairs` (per-source
   sweeps plus the dense direct-dominance fast path). Both tables must
   be *byte-identical*; the compiled path must win on Dijkstra count
@@ -16,7 +16,7 @@ Two experiments over the routing layer (see DESIGN.md §15):
 * **invalidation** -- replaying the seeded ``abilene`` scenario under
   the production ``scoped`` route invalidation versus the retired
   ``lazy`` mode (drop every route cache and refill per pair on demand,
-  frozen in ``_retired.py``) and summing the router's Dijkstra runs
+  frozen in ``tests/oracles.py``) and summing the router's Dijkstra runs
   across the link events (brownouts/failures). Scoped invalidation recomputes only the pairs
   whose classification paths crossed a changed link, so it must spend
   at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer runs per link
@@ -31,16 +31,15 @@ wall-clock floor.
 
 import os
 import time
-from functools import partial
 
 from repro.core.clock import StepClock
 from repro.network.routing import Router
 from repro.scenarios import random_geo_network
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
+from tests.oracles import lazy_router, use_route_invalidation
 
 from _common import emit, perf_floor, write_json
-from _retired import invalidate_lazy, lazy_router
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -189,9 +188,7 @@ def _replay_counting(mode: str):
     controller = FleetController(
         scenario.network, config=scenario.config, clock=StepClock()
     )
-    if mode == "lazy":
-        state = controller.state
-        state._invalidate_routes = partial(invalidate_lazy, state)
+    use_route_invalidation(controller, mode)
     link_runs = 0
     link_events = 0
     for event in scenario.events:

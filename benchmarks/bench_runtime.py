@@ -10,8 +10,9 @@ verbatim, times them against the runtime-driven algorithms with the
 same seeds on the 20-operation x 10-server reference instance, checks
 the deployments are identical, and asserts the aggregate overhead stays
 under 5%. The two runtime-driven per-candidate hill-climbing sweeps are
-retired from the library; their frozen copies in ``_retired.py`` keep
-serving as the driver's heavy-step workload.
+retired from the library; their frozen copies in ``tests/oracles.py``
+(full pricing) and ``_retired.py`` (incremental pricing) keep serving
+as the driver's heavy-step workload.
 
 Simulated annealing is the worst case -- ~2000 steps of microsecond
 work, so the per-step driver cost (one ``SearchStep`` plus a generator
@@ -38,9 +39,10 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationHillClimbing
 
 from _common import emit
-from _retired import FullEvaluationHillClimbing, IncrementalHillClimbing
+from _retired import IncrementalHillClimbing
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 

@@ -42,11 +42,11 @@ The search runtime (:mod:`repro.algorithms.runtime`)
     ``deploy_with_report`` to also get the anytime best-so-far curve.
 
 The parallel layer (:mod:`repro.parallel`)
-    :func:`~repro.parallel.deploy_parallel` shards one algorithm across
-    worker processes (seeded restarts or GA islands) and
-    :func:`~repro.parallel.race_portfolio` races a
-    portfolio of algorithms under one shared budget; both are
-    re-exported here for convenience.
+    :func:`~repro.parallel.deploy_parallel` races seeded restarts of one
+    algorithm across worker processes and
+    :func:`~repro.parallel.race_portfolio` races a portfolio of
+    algorithms under one shared budget; both are re-exported here for
+    convenience, loaded on first access.
 """
 
 from repro.algorithms.base import (
@@ -109,5 +109,12 @@ __all__ = [
     "race_portfolio",
 ]
 
-# imported last: repro.parallel builds on the registry populated above
-from repro.parallel.api import deploy_parallel, race_portfolio  # noqa: E402
+
+def __getattr__(name: str):
+    # loaded on first access: importing the registry (as the fleet
+    # service does) must not load the process-pool layer
+    if name in ("deploy_parallel", "race_portfolio"):
+        from repro.parallel import api
+
+        return getattr(api, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -55,21 +55,6 @@ class GeneticAlgorithm(DeploymentAlgorithm):
     seed_with_heuristics:
         Include FairLoad's and HeavyOps-LargeMsgs' mappings in the
         initial population (on by default; the GA is then an *improver*).
-    initial_population:
-        Optional explicit starting population: genome tuples of server
-        names, one gene per operation in workflow order. Replaces both
-        the heuristic seeding and the random fill for the genomes
-        provided (extra slots are still filled randomly; surplus
-        genomes are truncated). This is the island-model hook of
-        :mod:`repro.parallel`: migration rounds resume evolution from
-        the previous round's population.
-    population_sink:
-        Optional callable receiving ``(population, objectives)`` --
-        the final generation's genomes and their objective values --
-        when the search ends, *including* early stops by budget or
-        cancellation (the runtime closes the step generator, running
-        its ``finally``). The island runner uses it to ship populations
-        back to the coordinator.
     """
 
     name = "Genetic"
@@ -82,8 +67,6 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         mutation_rate: float = 0.05,
         tournament: int = 3,
         seed_with_heuristics: bool = True,
-        initial_population=None,
-        population_sink=None,
     ):
         self.population_size = SearchBudget.validate_count(
             "population_size", population_size, minimum=2
@@ -101,12 +84,6 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
         self.seed_with_heuristics = seed_with_heuristics
-        self.initial_population = (
-            None
-            if initial_population is None
-            else tuple(tuple(genome) for genome in initial_population)
-        )
-        self.population_sink = population_sink
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         return context.search(self._steps(context)).best
@@ -131,22 +108,7 @@ class GeneticAlgorithm(DeploymentAlgorithm):
             return [-float(v) for v in objectives.objective]
 
         population: list[tuple[str, ...]] = []
-        if self.initial_population is not None:
-            server_set = set(servers)
-            for genome in self.initial_population[: self.population_size]:
-                if len(genome) != len(operations):
-                    raise AlgorithmError(
-                        f"initial_population genome has {len(genome)} genes, "
-                        f"workflow has {len(operations)} operations"
-                    )
-                unknown = set(genome) - server_set
-                if unknown:
-                    raise AlgorithmError(
-                        f"initial_population names unknown servers: "
-                        f"{sorted(unknown)}"
-                    )
-                population.append(tuple(genome))
-        elif self.seed_with_heuristics:
+        if self.seed_with_heuristics:
             for algorithm in (FairLoad(), HeavyOpsLargeMsgs()):
                 population.append(
                     genome_of(
@@ -174,49 +136,39 @@ class GeneticAlgorithm(DeploymentAlgorithm):
             return population[best_index]
 
         elite_index = max(range(len(population)), key=scores.__getitem__)
-        try:
+        yield SearchStep(
+            -scores[elite_index],
+            snapshot_of(population[elite_index]),
+            evals=len(population),
+        )
+        for _ in range(self.generations):
+            next_population = [population[elite_index]]
+            while len(next_population) < self.population_size:
+                parent_a = select()
+                if rng.random() < self.crossover_rate:
+                    parent_b = select()
+                    child = tuple(
+                        a if rng.random() < 0.5 else b
+                        for a, b in zip(parent_a, parent_b)
+                    )
+                else:
+                    child = parent_a
+                if len(servers) > 1:
+                    child = tuple(
+                        rng.choice(servers)
+                        if rng.random() < self.mutation_rate
+                        else gene
+                        for gene in child
+                    )
+                next_population.append(child)
+            population = next_population
+            scores = score_population(population)
+            # elitism keeps the champion at index 0, so the first max
+            # is the first genome ever to reach the current best score
+            # -- exactly the incumbent the runtime tracks
+            elite_index = max(range(len(population)), key=scores.__getitem__)
             yield SearchStep(
                 -scores[elite_index],
                 snapshot_of(population[elite_index]),
                 evals=len(population),
             )
-            for _ in range(self.generations):
-                next_population = [population[elite_index]]
-                while len(next_population) < self.population_size:
-                    parent_a = select()
-                    if rng.random() < self.crossover_rate:
-                        parent_b = select()
-                        child = tuple(
-                            a if rng.random() < 0.5 else b
-                            for a, b in zip(parent_a, parent_b)
-                        )
-                    else:
-                        child = parent_a
-                    if len(servers) > 1:
-                        child = tuple(
-                            rng.choice(servers)
-                            if rng.random() < self.mutation_rate
-                            else gene
-                            for gene in child
-                        )
-                    next_population.append(child)
-                population = next_population
-                scores = score_population(population)
-                # elitism keeps the champion at index 0, so the first max
-                # is the first genome ever to reach the current best score
-                # -- exactly the incumbent the runtime tracks
-                elite_index = max(range(len(population)), key=scores.__getitem__)
-                yield SearchStep(
-                    -scores[elite_index],
-                    snapshot_of(population[elite_index]),
-                    evals=len(population),
-                )
-        finally:
-            # fires on natural exhaustion AND when the runtime closes the
-            # generator early (budget/cancel): the sink always observes a
-            # consistent (population, scores) pair because rebinds happen
-            # together between yields
-            if self.population_sink is not None:
-                self.population_sink(
-                    list(population), [-score for score in scores]
-                )

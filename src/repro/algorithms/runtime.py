@@ -11,6 +11,8 @@ module is the one loop they all run on now:
     and/or a wall-clock deadline. The default budget is unlimited, in
     which case every search runs to its natural exhaustion and seeded
     results are byte-identical to the pre-runtime implementations.
+:func:`slice_budget`
+    One worker's or shard's deterministic share of a global budget.
 :class:`CancelToken`
     Cooperative cancellation. Anyone holding the token can
     :meth:`~CancelToken.cancel` it; the runtime observes it between
@@ -46,6 +48,7 @@ from repro.exceptions import AlgorithmError
 
 __all__ = [
     "SearchBudget",
+    "slice_budget",
     "CancelToken",
     "SearchStep",
     "SearchProgress",
@@ -134,6 +137,38 @@ class SearchBudget:
 
 #: The unlimited budget used when callers pass ``None``.
 UNLIMITED = SearchBudget()
+
+
+def slice_budget(
+    budget: SearchBudget | None, workers: int, index: int
+) -> SearchBudget | None:
+    """Worker *index*'s deterministic share of a global *budget*.
+
+    Countable limits are divided evenly with the remainder assigned to
+    the lowest worker indices; the wall-clock deadline is shared, not
+    divided (all workers race the same clock). Workers beyond a tiny
+    ``max_evals``/``max_steps`` (fewer units than workers) receive the
+    floor of one unit -- the anytime contract needs at least the first
+    step -- so a degenerate budget can overshoot by at most one unit
+    per surplus worker.
+    """
+    if budget is None:
+        return None
+    SearchBudget.validate_count("workers", workers)
+    if not 0 <= index < workers:
+        raise ValueError(f"worker index {index} outside range({workers})")
+
+    def share(total: int | None) -> int | None:
+        if total is None:
+            return None
+        base, remainder = divmod(total, workers)
+        return max(1, base + (1 if index < remainder else 0))
+
+    return SearchBudget(
+        max_steps=share(budget.max_steps),
+        max_evals=share(budget.max_evals),
+        deadline_s=budget.deadline_s,
+    )
 
 
 class CancelToken:

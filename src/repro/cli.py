@@ -72,7 +72,6 @@ from repro.experiments.runner import (
 )
 from repro.io.dot import deployment_to_dot, workflow_to_dot
 from repro.io.json_codec import dump_instance, load_instance
-from repro.parallel.specs import PLAN_KINDS
 from repro.simulation.engine import SimulationEngine
 
 __all__ = ["main", "build_parser"]
@@ -188,15 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the search across N worker processes "
-        "(see also --plan; default: 1, the exact serial run)",
-    )
-    deploy.add_argument(
-        "--plan",
-        choices=PLAN_KINDS,
-        default=None,
-        help="how to shard with --workers: seeded restarts or GA "
-        "islands (default: islands for Genetic, restarts otherwise)",
+        help="race N seeded restarts of the search in N worker "
+        "processes; the best wins (default: 1, the exact serial run)",
     )
     deploy.add_argument(
         "--portfolio",
@@ -453,7 +445,6 @@ def _cmd_deploy(args) -> int:
             workers=args.workers,
             seed=args.seed,
             budget=budget,
-            plan=args.plan,
         )
     deployment, report = outcome.best, outcome.report
     cost = model.evaluate(deployment)

@@ -399,9 +399,8 @@ class BatchEvaluator:
 
         The forward pass of :meth:`evaluate` alone -- no loads, penalty
         or objective -- for callers that score the rest themselves (the
-        fleet rebalance, whose penalty is fleet-wide, and
-        :func:`~repro.parallel.worker.run_pricing_task`). Bit-identical
-        to ``evaluate(batch).execution``.
+        fleet rebalance, whose penalty is fleet-wide). Bit-identical to
+        ``evaluate(batch).execution``.
         """
         return self._execution(self._transposed(batch))
 

@@ -7,6 +7,8 @@
 * :mod:`repro.io.dot` -- Graphviz DOT text for workflows (decision nodes
   shaped by kind, edges weighted by message size), networks, and
   deployments (operations clustered by server).
+* :mod:`repro.io.text` -- aligned plain-text tables and human-scaled
+  seconds for terminal output.
 """
 
 from repro.io.json_codec import (

@@ -1,19 +1,17 @@
 """Public entry points of the parallel layer.
 
 :func:`deploy_parallel`
-    One algorithm, sharded across workers under its
-    :class:`~repro.parallel.specs.ShardPlan` (parallel seeded restarts
-    or GA islands).
+    One algorithm, raced against itself as parallel seeded restarts.
 :func:`race_portfolio`
     Many algorithms racing under one shared budget -- the portfolio
     pattern: constructive seeds fanned into polishers, first target hit
     or global budget exhaustion ends the race, best deployment wins.
 
 Both return a :class:`~repro.parallel.runtime.ParallelOutcome` and obey
-the determinism contract: a fixed ``(seed, workers, plan)`` triple
-reproduces the same winner for eval-/step-capped and unbudgeted runs
-(wall-clock deadlines and target stops are inherently timing-dependent
-across processes; with an *inline* runtime even those are exact).
+the determinism contract: a fixed ``(seed, workers)`` pair reproduces
+the same winner for eval-/step-capped and unbudgeted runs (wall-clock
+deadlines and target stops are inherently timing-dependent across
+processes; with an *inline* runtime even those are exact).
 ``workers=1`` is the serial escape hatch -- :func:`deploy_parallel`
 then makes the exact
 :meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy_with_report`
@@ -29,7 +27,6 @@ from repro.algorithms.base import DeploymentAlgorithm
 from repro.algorithms.runtime import CancelToken, SearchBudget
 from repro.core.clock import Clock
 from repro.core.cost import CostModel
-from repro.core.mapping import Deployment
 from repro.core.rng import coerce_rng
 from repro.core.workflow import Workflow
 from repro.exceptions import AlgorithmError
@@ -40,16 +37,9 @@ from repro.parallel.runtime import (
     ParallelReport,
     ParallelRuntime,
     WorkerRun,
-    islands,
     race,
 )
-from repro.parallel.specs import (
-    DEFAULT_PORTFOLIO,
-    AlgorithmSpec,
-    ShardPlan,
-    auto_plan,
-    spec_label,
-)
+from repro.parallel.specs import DEFAULT_PORTFOLIO, AlgorithmSpec, spec_label
 from repro.parallel.worker import payload_from
 
 __all__ = ["deploy_parallel", "race_portfolio", "default_workers"]
@@ -120,28 +110,6 @@ def _serial_outcome(
     )
 
 
-def _ga_parameters(
-    entry: "AlgorithmSpec | DeploymentAlgorithm",
-) -> tuple[dict, int]:
-    """Extract ``(constructor kwargs, total generations)`` for islands."""
-    from repro.algorithms.genetic import GeneticAlgorithm
-
-    algorithm = _build(entry)
-    if not isinstance(algorithm, GeneticAlgorithm):
-        raise AlgorithmError(
-            "the islands plan applies to the Genetic algorithm only, "
-            f"got {spec_label(entry)!r}"
-        )
-    params = {
-        "population_size": algorithm.population_size,
-        "crossover_rate": algorithm.crossover_rate,
-        "mutation_rate": algorithm.mutation_rate,
-        "tournament": algorithm.tournament,
-        "seed_with_heuristics": algorithm.seed_with_heuristics,
-    }
-    return params, algorithm.generations
-
-
 def deploy_parallel(
     algorithm: "AlgorithmSpec | DeploymentAlgorithm | str",
     workflow: Workflow,
@@ -150,14 +118,13 @@ def deploy_parallel(
     workers: int | None = None,
     seed: Any = None,
     budget: SearchBudget | None = None,
-    plan: "ShardPlan | str | None" = None,
     target_value: float | None = None,
     cancel: CancelToken | None = None,
     runtime: ParallelRuntime | None = None,
     inline: bool = False,
     clock: Clock | None = None,
 ) -> ParallelOutcome:
-    """Shard one algorithm's search across *workers* processes.
+    """Race *workers* seeded restarts of one algorithm; the best wins.
 
     Parameters mirror :meth:`~repro.algorithms.base.DeploymentAlgorithm.
     deploy_with_report` where they overlap; the parallel-specific knobs:
@@ -173,10 +140,6 @@ def deploy_parallel(
         Root of the deterministic per-worker RNG streams. Must be a
         *spawnable* seed (int/str/None) when ``workers > 1`` -- a live
         ``random.Random`` has one stream and cannot be split.
-    ``plan``
-        A :class:`~repro.parallel.specs.ShardPlan`, a plan-kind string,
-        or ``None`` for the algorithm's default (islands for the GA,
-        seeded restarts otherwise).
     ``target_value``
         Stop everyone once any worker's incumbent reaches this
         objective value (stop reason ``"target"``).
@@ -189,7 +152,6 @@ def deploy_parallel(
     if workers is None:
         workers = runtime.workers if runtime is not None else default_workers()
     SearchBudget.validate_count("workers", workers)
-    shard_plan = ShardPlan.coerce(plan)
     if workers == 1 and runtime is None:
         return _serial_outcome(
             entry,
@@ -202,31 +164,16 @@ def deploy_parallel(
             clock,
         )
     seed = require_spawnable_seed(seed)
-    if shard_plan is None:
-        shard_plan = auto_plan(entry.name)
     payload = payload_from(workflow, network, cost_model)
     owned = runtime is None
     if runtime is None:
         runtime = ParallelRuntime(workers, inline=inline, clock=clock)
+    label = spec_label(entry)
+    racers = [
+        (f"{label}#{index}", entry, spawn_seed(seed, "worker", index))
+        for index in range(runtime.workers)
+    ]
     try:
-        if shard_plan.kind == "islands":
-            ga_params, generations = _ga_parameters(entry)
-            return islands(
-                runtime,
-                payload,
-                seed,
-                generations,
-                ga_params,
-                shard_plan,
-                budget=budget,
-                target_value=target_value,
-                cancel=cancel,
-            )
-        label = spec_label(entry)
-        racers = [
-            (f"{label}#{index}", entry, spawn_seed(seed, "worker", index))
-            for index in range(runtime.workers)
-        ]
         return race(
             runtime,
             payload,

@@ -8,7 +8,7 @@ everyone at the deadline, stop everyone once a target value is reached"
 :class:`~repro.algorithms.runtime.SearchRuntime`. Two cooperating
 pieces provide that:
 
-:func:`slice_budget`
+:func:`~repro.algorithms.runtime.slice_budget` (re-exported here)
     Deterministic pre-partitioning of the countable limits. Worker *i*
     of *n* receives ``max_evals // n`` evaluations (the remainder goes
     to the lowest indices), and likewise for ``max_steps``; deadlines
@@ -45,6 +45,7 @@ from repro.algorithms.runtime import (
     CancelToken,
     SearchBudget,
     SearchProgress,
+    slice_budget,
 )
 
 __all__ = [
@@ -65,38 +66,6 @@ STOP_TARGET = "target"
 #: round-trip per step, small enough that cancellation propagates
 #: quickly relative to any realistic budget.
 DEFAULT_FLUSH_EVERY = 256
-
-
-def slice_budget(
-    budget: SearchBudget | None, workers: int, index: int
-) -> SearchBudget | None:
-    """Worker *index*'s deterministic share of a global *budget*.
-
-    Countable limits are divided evenly with the remainder assigned to
-    the lowest worker indices; the wall-clock deadline is shared, not
-    divided (all workers race the same clock). Workers beyond a tiny
-    ``max_evals``/``max_steps`` (fewer units than workers) receive the
-    floor of one unit -- the anytime contract needs at least the first
-    step -- so a degenerate budget can overshoot by at most one unit
-    per surplus worker.
-    """
-    if budget is None:
-        return None
-    SearchBudget.validate_count("workers", workers)
-    if not 0 <= index < workers:
-        raise ValueError(f"worker index {index} outside range({workers})")
-
-    def share(total: int | None) -> int | None:
-        if total is None:
-            return None
-        base, remainder = divmod(total, workers)
-        return max(1, base + (1 if index < remainder else 0))
-
-    return SearchBudget(
-        max_steps=share(budget.max_steps),
-        max_evals=share(budget.max_evals),
-        deadline_s=budget.deadline_s,
-    )
 
 
 class BudgetLedger:

@@ -1,29 +1,18 @@
-"""The multiprocess fan-out runtime: pools, plans, merging.
+"""The multiprocess fan-out runtime: pools, races, merging.
 
-:class:`ParallelRuntime` owns the mechanics every plan shares -- a
-lazily created ``ProcessPoolExecutor`` plus ``multiprocessing.Manager``
-(or a purely sequential *inline* mode for workers-in-this-process
-execution, deterministic tests and clock injection), ordered task
-fan-out with a parent-side watchdog loop that propagates external
-cancellation and the global deadline into the shared
+:class:`ParallelRuntime` owns the mechanics -- a lazily created
+``ProcessPoolExecutor`` plus ``multiprocessing.Manager`` (or a purely
+sequential *inline* mode for workers-in-this-process execution,
+deterministic tests and clock injection), ordered task fan-out with a
+parent-side watchdog loop that propagates external cancellation and the
+global deadline into the shared
 :class:`~repro.parallel.budget.BudgetLedger`, and result merging.
 
-Two sharding protocols run on top of it (see DESIGN §11):
-
-:func:`race`
-    Independent full searches -- parallel seeded restarts of one
-    algorithm, or a portfolio of different algorithms -- each under a
-    deterministic :func:`~repro.parallel.budget.slice_budget` share.
-    The global best wins; ties break on the lowest worker index.
-:func:`islands`
-    The GA island model. Islands evolve ``migration_every`` generations
-    per round behind a barrier; between rounds the coordinator performs
-    ring migration (island *i* receives the elite of island *i-1*,
-    replacing its worst genome) and re-seeds each island's next round
-    from ``seed:island:i:round:r``. Populations travel as server-index
-    genomes; budgets are re-sliced each round from the ledger's actual
-    spend (deterministic, because rounds are barriers and workers flush
-    exact totals).
+One sharding protocol runs on top of it (see DESIGN §11): :func:`race`
+fans independent full searches out -- parallel seeded restarts of one
+algorithm, or a portfolio of different algorithms -- each under a
+deterministic :func:`~repro.algorithms.runtime.slice_budget` share. The
+global best wins; ties break on the lowest worker index.
 
 Everything returns a :class:`ParallelOutcome`: the winning deployment,
 its objective, a merged serial-shaped
@@ -49,6 +38,7 @@ from repro.algorithms.runtime import (
     CancelToken,
     SearchBudget,
     SearchReport,
+    slice_budget,
 )
 from repro.core.clock import MONOTONIC, Clock
 from repro.core.mapping import Deployment
@@ -58,17 +48,9 @@ from repro.parallel.budget import (
     BudgetLedger,
     InlineLedger,
     SharedLedger,
-    slice_budget,
 )
-from repro.parallel.rng import spawn_seed
-from repro.parallel.specs import AlgorithmSpec, ShardPlan
-from repro.parallel.worker import (
-    InstancePayload,
-    IslandTask,
-    SearchTask,
-    run_island_task,
-    run_search_task,
-)
+from repro.parallel.specs import AlgorithmSpec
+from repro.parallel.worker import InstancePayload, SearchTask, run_search_task
 
 __all__ = [
     "ParallelRuntime",
@@ -76,7 +58,6 @@ __all__ = [
     "ParallelReport",
     "ParallelOutcome",
     "race",
-    "islands",
     "merge_curves",
 ]
 
@@ -99,9 +80,8 @@ class WorkerRun:
 class ParallelReport:
     """Structured account of one parallel run.
 
-    ``runs`` holds one entry per logical worker position (racer,
-    or island), in deterministic plan order -- never in
-    completion order. ``winner`` indexes into it.
+    ``runs`` holds one entry per racer, in deterministic line-up
+    order -- never in completion order. ``winner`` indexes into it.
     """
 
     plan: str
@@ -122,7 +102,7 @@ class ParallelReport:
 
 @dataclass(frozen=True)
 class ParallelOutcome:
-    """What every plan returns (see module docs)."""
+    """What every race returns (see module docs)."""
 
     best: Deployment
     best_value: float
@@ -162,7 +142,6 @@ def merge_curves(
 def _merge_stop_reason(
     ledger: BudgetLedger,
     runs: Sequence[WorkerRun],
-    budget: SearchBudget | None,
 ) -> str:
     """One stop reason for the merged report (deterministic for
     deterministic runs: priority order, then worker order)."""
@@ -185,7 +164,6 @@ def _merged_outcome(
     workers: int,
     runs: Sequence[WorkerRun],
     ledger: BudgetLedger,
-    budget: SearchBudget | None,
     elapsed_s: float,
 ) -> ParallelOutcome:
     """Reduce worker runs to the global best + merged report."""
@@ -200,7 +178,7 @@ def _merged_outcome(
         rejected=sum(r.rejected for r in reports),
         best_value=runs[winner].value,
         curve=merge_curves([r.curve for r in reports]),
-        stop_reason=_merge_stop_reason(ledger, runs, budget),
+        stop_reason=_merge_stop_reason(ledger, runs),
         elapsed_s=elapsed_s,
     )
     return ParallelOutcome(
@@ -226,13 +204,13 @@ class ParallelRuntime:
     Parameters
     ----------
     workers:
-        Logical worker count: pool size, and the shard width every plan
-        uses (number of racers/islands). Must be >= 1.
+        Logical worker count: pool size, and the number of racers of a
+        restarts race. Must be >= 1.
     inline:
         When true, no processes are created: tasks run sequentially in
         the parent, in task order, against an
         :class:`~repro.parallel.budget.InlineLedger`. Semantically the
-        same plans (identical seeds, slices and merge), which makes it
+        same races (identical seeds, slices and merge), which makes it
         the vehicle for deterministic tests, injected clocks, and
         environments where multiprocessing is unavailable.
     flush_every:
@@ -248,7 +226,7 @@ class ParallelRuntime:
         Watchdog period of the parent wait loop.
 
     Use as a context manager, or call :meth:`close` -- a runtime may
-    serve many plan invocations (the fleet controller keeps one).
+    serve many races.
     """
 
     def __init__(
@@ -353,21 +331,13 @@ class ParallelRuntime:
         if deadline_at is not None and self.clock() >= deadline_at:
             ledger.request_stop(STOP_DEADLINE)
 
-    def map_plain(self, fn: Callable, tasks: Sequence[Any]) -> list[Any]:
-        """Fan ``fn(task)`` out with no ledger and no watchdog -- for
-        short, unbudgeted work such as fleet candidate pricing."""
-        if self.inline:
-            return [fn(task) for task in tasks]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, tasks))
-
     def _execute_inline(
         self, fn, tasks, ledger, deadline_at, cancel
     ) -> list[Any]:
         results = []
         for task in tasks:
             self._watchdog(ledger, deadline_at, cancel)
-            budget = getattr(task, "budget", None)
+            budget = task.budget
             if (
                 budget is not None
                 and budget.deadline_s is not None
@@ -390,7 +360,7 @@ class ParallelRuntime:
 
 
 # ----------------------------------------------------------------------
-# plans
+# the race
 # ----------------------------------------------------------------------
 def race(
     runtime: ParallelRuntime,
@@ -406,7 +376,7 @@ def race(
     ``racers`` is a deterministic sequence of ``(label, algorithm,
     seed)`` -- the portfolio or restart line-up with pre-spawned
     per-worker seeds. Each racer receives its
-    :func:`~repro.parallel.budget.slice_budget` share.
+    :func:`~repro.algorithms.runtime.slice_budget` share.
     """
     start = runtime.clock()
     ledger = runtime.make_ledger(budget.max_evals if budget else None)
@@ -446,146 +416,5 @@ def race(
         runtime.workers,
         runs,
         ledger,
-        budget,
-        runtime.clock() - start,
-    )
-
-
-def _argmin(values: Sequence[float]) -> int:
-    return min(range(len(values)), key=lambda i: (values[i], i))
-
-
-def _argmax(values: Sequence[float]) -> int:
-    return max(range(len(values)), key=lambda i: (values[i], -i))
-
-
-def islands(
-    runtime: ParallelRuntime,
-    payload: InstancePayload,
-    seed,
-    generations: int,
-    ga_params: dict,
-    plan: ShardPlan,
-    budget: SearchBudget | None = None,
-    target_value: float | None = None,
-    cancel: CancelToken | None = None,
-) -> ParallelOutcome:
-    """GA island model with periodic ring migration (see module docs)."""
-    start = runtime.clock()
-    num_islands = runtime.workers
-    max_evals = budget.max_evals if budget is not None else None
-    ledger = runtime.make_ledger(max_evals)
-    deadline_at = (
-        start + budget.deadline_s
-        if budget is not None and budget.deadline_s is not None
-        else None
-    )
-    params = tuple(sorted(ga_params.items()))
-    populations: list[tuple[tuple[int, ...], ...] | None]
-    populations = [None] * num_islands
-
-    # per-island accumulators across rounds
-    best_value = [None] * num_islands
-    best_mapping: list[dict | None] = [None] * num_islands
-    steps = [0] * num_islands
-    evals = [0] * num_islands
-    accepted = [0] * num_islands
-    rejected = [0] * num_islands
-    curves: list[list[tuple[int, Any]]] = [[] for _ in range(num_islands)]
-    last_reason = [STOP_EXHAUSTED] * num_islands
-
-    done_generations = 0
-    round_index = 0
-    while done_generations < generations:
-        if cancel is not None and cancel.cancelled:
-            ledger.request_stop(STOP_CANCELLED)
-        if deadline_at is not None and runtime.clock() >= deadline_at:
-            ledger.request_stop(STOP_DEADLINE)
-        if round_index > 0 and ledger.stop_requested:
-            # round zero always runs: workers see the pre-tripped stop
-            # and still produce their initial population (the anytime
-            # contract the serial runtime keeps under pre-cancellation)
-            break
-        round_budget = budget
-        if max_evals is not None:
-            remaining_evals = max_evals - ledger.evaluations
-            if remaining_evals <= 0:
-                break
-            round_budget = SearchBudget(
-                max_evals=remaining_evals, deadline_s=budget.deadline_s
-            )
-        round_generations = min(
-            plan.migration_every, generations - done_generations
-        )
-        tasks = [
-            IslandTask(
-                index=island,
-                payload=payload,
-                seed=spawn_seed(seed, "island", island, "round", round_index),
-                generations=round_generations,
-                ga_params=params,
-                population=populations[island],
-                budget=slice_budget(round_budget, num_islands, island),
-                target_value=target_value,
-                flush_every=runtime.flush_every,
-            )
-            for island in range(num_islands)
-        ]
-        results = runtime.execute(
-            run_island_task, tasks, ledger, deadline_at, cancel
-        )
-        for island, result in enumerate(results):
-            report = result.report
-            offset = steps[island]
-            curves[island].extend(
-                (offset + step, value) for step, value in report.curve
-            )
-            steps[island] += report.steps
-            evals[island] += report.evaluations
-            accepted[island] += report.accepted
-            rejected[island] += report.rejected
-            last_reason[island] = report.stop_reason
-            if best_value[island] is None or result.value < best_value[island]:
-                best_value[island] = result.value
-                best_mapping[island] = result.mapping
-
-        # ring migration: island i adopts the elite of island i-1 in
-        # place of its own worst genome (identity ring for one island)
-        next_populations = [list(result.population) for result in results]
-        if num_islands > 1:
-            for island in range(num_islands):
-                donor = results[(island - 1) % num_islands]
-                elite = donor.population[_argmin(donor.objectives)]
-                worst = _argmax(results[island].objectives)
-                next_populations[island][worst] = elite
-        populations = [tuple(pop) for pop in next_populations]
-        done_generations += round_generations
-        round_index += 1
-
-    runs = [
-        WorkerRun(
-            index=island,
-            label=f"island:{island}",
-            deployment=Deployment(best_mapping[island]),
-            value=best_value[island],
-            report=SearchReport(
-                steps=steps[island],
-                evaluations=evals[island],
-                accepted=accepted[island],
-                rejected=rejected[island],
-                best_value=best_value[island],
-                curve=tuple(curves[island]),
-                stop_reason=last_reason[island],
-                elapsed_s=0.0,
-            ),
-        )
-        for island in range(num_islands)
-    ]
-    return _merged_outcome(
-        "islands",
-        runtime.workers,
-        runs,
-        ledger,
-        budget,
         runtime.clock() - start,
     )

@@ -6,10 +6,8 @@ What crosses the process boundary is deliberately small and dumb:
   and network plus the cost-model knobs, fingerprinted so each worker
   process rebuilds (and compiles) an instance **once** and serves every
   later task for the same fingerprint from :data:`_MATERIALIZED`;
-* task dataclasses whose per-round fields are integer indices into the
-  worker's own :class:`~repro.core.compiled.CompiledInstance` -- genome
-  populations as server-index tuples, candidate rows as index
-  vectors -- never live domain objects.
+* :class:`SearchTask` records naming an algorithm spec and a seed --
+  never live domain objects.
 
 Every entry point is a module-level function (picklable by qualified
 name under any ``multiprocessing`` start method) taking ``(task,
@@ -53,11 +51,6 @@ __all__ = [
     "SearchTask",
     "SearchResult",
     "run_search_task",
-    "IslandTask",
-    "IslandResult",
-    "run_island_task",
-    "PricingTask",
-    "run_pricing_task",
 ]
 
 
@@ -118,8 +111,8 @@ def payload_from(
 _MATERIALIZED: dict[str, tuple[Workflow, ServerNetwork, CostModel]] = {}
 
 #: Cache bound: a long-lived worker pool serving many distinct
-#: instances (the fleet controller across joins/failures) must not grow
-#: without limit; rebuilding after a clear is cheap relative to search.
+#: instances must not grow without limit; rebuilding after a clear is
+#: cheap relative to search.
 _CACHE_LIMIT = 32
 
 
@@ -244,129 +237,3 @@ def run_search_task(
         value=value,
         report=report,
     )
-
-
-# ----------------------------------------------------------------------
-# GA island rounds
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class IslandTask:
-    """One island evolving for one migration round.
-
-    ``population`` is the resume state -- server-*index* genomes from
-    the previous round (``None`` on round zero, where the island seeds
-    itself: heuristics plus random fill, exactly like the serial GA).
-    """
-
-    index: int
-    payload: InstancePayload
-    seed: Any
-    generations: int
-    ga_params: tuple[tuple[str, Any], ...]
-    population: tuple[tuple[int, ...], ...] | None = None
-    budget: SearchBudget | None = None
-    target_value: float | None = None
-    flush_every: int = DEFAULT_FLUSH_EVERY
-
-
-@dataclass(frozen=True)
-class IslandResult:
-    """Round outcome: winner plus the resume state for migration."""
-
-    index: int
-    mapping: dict[str, str]
-    value: float
-    report: SearchReport
-    population: tuple[tuple[int, ...], ...]
-    objectives: tuple[float, ...]
-
-
-def run_island_task(
-    task: IslandTask,
-    ledger: BudgetLedger,
-    clock: Clock | None = None,
-) -> IslandResult:
-    """Evolve one island for ``task.generations`` generations."""
-    from repro.algorithms.genetic import GeneticAlgorithm
-
-    workflow, network, model = materialize(task.payload)
-    compiled = model.compiled
-    server_names = compiled.server_names
-    initial = None
-    if task.population is not None:
-        initial = [
-            tuple(server_names[index] for index in genome)
-            for genome in task.population
-        ]
-    captured: dict[str, Any] = {}
-
-    def sink(population, objectives):
-        captured["population"] = population
-        captured["objectives"] = objectives
-
-    params = dict(task.ga_params)
-    params["generations"] = task.generations
-    algorithm = GeneticAlgorithm(
-        initial_population=initial, population_sink=sink, **params
-    )
-    cancel, bridge = _bridged_cancel(
-        ledger, task.flush_every, task.target_value
-    )
-    try:
-        deployment, report = algorithm.deploy_with_report(
-            workflow,
-            network,
-            cost_model=model,
-            rng=coerce_rng(task.seed),
-            budget=task.budget,
-            cancel=cancel,
-            clock=clock,
-            on_progress=bridge,
-        )
-    finally:
-        # a crashed island must still account for its spent evaluations
-        bridge.finish()
-    bridge.finish(report.evaluations)
-    value = model.objective(deployment)
-    if task.target_value is not None and value <= task.target_value:
-        ledger.request_stop(STOP_TARGET)
-    server_index = compiled.server_index
-    population = tuple(
-        tuple(server_index[name] for name in genome)
-        for genome in captured["population"]
-    )
-    return IslandResult(
-        index=task.index,
-        mapping=deployment.as_dict(),
-        value=value,
-        report=report,
-        population=population,
-        objectives=tuple(captured["objectives"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# batch candidate pricing (fleet rebalance sharding)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PricingTask:
-    """Score candidate server-vectors; returns their execution times.
-
-    The fleet controller's rebalance scan ships each tenant's
-    ``(operation, target)`` candidate rows here when
-    ``FleetConfig.parallel_workers > 1``; the kernel is the same
-    :class:`~repro.core.batch.BatchEvaluator` the serial path uses, so
-    the returned floats -- and therefore the applied moves and the
-    decision log -- are byte-identical. ``rows`` is any ``(K, M)``
-    server-index array-like the kernel accepts.
-    """
-
-    index: int
-    payload: InstancePayload
-    rows: Any
-
-
-def run_pricing_task(task: PricingTask) -> list[float]:
-    """Price ``task.rows`` through the worker's cached batch kernel."""
-    _, _, model = materialize(task.payload)
-    return model.compiled.batch_evaluator().execution(task.rows).tolist()

@@ -311,11 +311,11 @@ def migration_from_dict(
 def config_to_dict(config: FleetConfig) -> dict[str, Any]:
     """Encode a :class:`FleetConfig` as a JSON-compatible dict.
 
-    ``"use_batch"`` is written as the constant ``True``: the option is
-    gone (every controller prices candidates through the batch kernel),
-    but the key keeps encoded configs byte-identical to the documents
-    earlier releases wrote and hashed. :func:`config_from_dict` ignores
-    it.
+    Two keys of retired options are written as constants: ``"use_batch"``
+    and the pricing worker count. Every controller now prices candidates
+    serially through the batch kernel, but the keys keep encoded configs
+    byte-identical to the documents earlier releases wrote and hashed.
+    :func:`config_from_dict` ignores them.
     """
     return {
         "algorithm": config.algorithm,
@@ -328,7 +328,7 @@ def config_to_dict(config: FleetConfig) -> dict[str, Any]:
         "penalty_mode": config.penalty_mode,
         "seed": config.seed,
         "use_batch": True,
-        "parallel_workers": config.parallel_workers,
+        "parallel_workers": 1,  # perfbench hashes configs with this key
         "migration": migration_to_dict(config.migration),
         "migration_weight": config.migration_weight,
         "rebalance_min_gain": config.rebalance_min_gain,
@@ -355,9 +355,6 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
         penalty_weight=_number(document, "penalty_weight", "fleet config"),
         penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
         seed=_number(document, "seed", "fleet config", int),
-        parallel_workers=_number(
-            document, "parallel_workers", "fleet config", int, default=1
-        ),
         migration=migration_from_dict(document.get("migration")),
         migration_weight=_number(
             document, "migration_weight", "fleet config", default=0.0

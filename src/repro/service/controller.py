@@ -51,7 +51,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from repro.algorithms.base import get_algorithm
 from repro.algorithms.runtime import (
@@ -121,16 +121,6 @@ class FleetConfig:
     seed:
         Seed of the controller's private RNG (handed to placement
         algorithms that need random initial mappings).
-    parallel_workers:
-        Opt-in: when > 1, each rebalance round's per-tenant candidate
-        pricing (of the pairs not priced earlier in the same pass) fans
-        out across this many worker processes (one
-        :class:`~repro.parallel.worker.PricingTask` per tenant, served
-        by a pool the controller keeps across rounds -- call
-        :meth:`FleetController.close` when done). The workers run the
-        same batch kernel, so the priced floats -- and therefore the
-        applied moves and the decision log -- are byte-identical to the
-        serial path.
     migration:
         Optional :class:`~repro.core.migration.MigrationCostModel`
         pricing what an applied move *costs* (checkpoint transfer over
@@ -166,7 +156,8 @@ class FleetConfig:
     penalty_weight: float = 0.5
     penalty_mode: str = "mad"
     seed: int = 0
-    parallel_workers: int = 1
+    # a constant, not a field: perfbench asserts the serial value
+    parallel_workers: ClassVar[int] = 1
     migration: MigrationCostModel | None = None
     migration_weight: float = 0.0
     rebalance_min_gain: float = 0.0
@@ -182,8 +173,6 @@ class FleetConfig:
             raise ServiceError("drift_threshold must lie in [0, 1]")
         if self.max_moves_per_rebalance < 0:
             raise ServiceError("max_moves_per_rebalance must be >= 0")
-        if self.parallel_workers < 1:
-            raise ServiceError("parallel_workers must be >= 1")
         if not (
             math.isfinite(self.migration_weight)
             and self.migration_weight >= 0.0
@@ -254,7 +243,6 @@ class FleetController:
         #: Report of the most recent rebalance / spreading search.
         self.last_rebalance_report: SearchReport | None = None
         self._active_rebalance_cancel: CancelToken | None = None
-        self._pricing_runtime = None
         #: Cumulative migration cost (seconds) of every applied move,
         #: priced by :attr:`FleetConfig.migration`. Tracked whenever a
         #: migration model is configured -- weight 0 included -- so a
@@ -264,26 +252,8 @@ class FleetController:
         self._tenant_cooldowns: dict[str, int] = {}
 
     def close(self) -> None:
-        """Release the pricing worker pool, if one was started."""
-        if self._pricing_runtime is not None:
-            self._pricing_runtime.close()
-            self._pricing_runtime = None
-
-    def __enter__(self) -> "FleetController":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _pricing_pool(self):
-        """The lazily started pricing runtime (parallel_workers > 1)."""
-        if self._pricing_runtime is None:
-            from repro.parallel.runtime import ParallelRuntime
-
-            self._pricing_runtime = ParallelRuntime(
-                self.config.parallel_workers
-            )
-        return self._pricing_runtime
+        """A no-op: the controller holds no worker pool or other resource."""
+        # kept because perfbench calls close() after every replay
 
     def preempt_rebalance(self, reason: str = "") -> bool:
         """Cancel the rebalance currently in flight, if any.
@@ -914,50 +884,12 @@ class FleetController:
             # one model lookup per tenant with a row, priced or not: the
             # same cost-model traffic (and hit counter) as re-pricing
             models = {tenant: state.cost_model(tenant) for tenant in tenants}
-            batches = {
-                tenant: np.concatenate(list(rows.values()))
-                for tenant, rows in fresh.items()
-            }
-            if self.config.parallel_workers > 1 and len(batches) > 1:
-                # one PricingTask per tenant, fanned across the pool;
-                # same kernel in every worker, so the floats (and the
-                # moves chosen from them) match the serial branch
-                from repro.parallel.worker import (
-                    PricingTask,
-                    payload_from,
-                    run_pricing_task,
-                )
-
-                tasks = [
-                    PricingTask(
-                        index=position,
-                        payload=payload_from(
-                            state.tenant(tenant).workflow,
-                            network,
-                            models[tenant],
-                        ),
-                        rows=batch,
-                    )
-                    for position, (tenant, batch) in enumerate(
-                        batches.items()
-                    )
-                ]
-                results = self._pricing_pool().map_plain(
-                    run_pricing_task, tasks
-                )
-                executions = {
-                    tenant: np.asarray(values, dtype=np.float64)
-                    for tenant, values in zip(batches, results)
-                }
-            else:
-                executions = {
-                    tenant: models[tenant]
-                    .compiled.batch_evaluator()
-                    .execution(batch)
-                    for tenant, batch in batches.items()
-                }
             for tenant, rows_by_pair in fresh.items():
-                values = executions[tenant]
+                values = (
+                    models[tenant]
+                    .compiled.batch_evaluator()
+                    .execution(np.concatenate(list(rows_by_pair.values())))
+                )
                 start = 0
                 for key, rows in rows_by_pair.items():
                     priced[key] = values[start:start + len(rows)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.exceptions import ServiceError
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.io.text import TextTable, format_seconds
 
 __all__ = ["LogRecord", "FleetLog", "FleetMetrics", "format_detail"]
 

@@ -25,10 +25,10 @@ import hashlib
 from dataclasses import replace
 from typing import Callable
 
+from repro.algorithms.runtime import slice_budget
 from repro.exceptions import ServiceError
 from repro.io.json_codec import network_from_dict, network_to_dict
 from repro.network.topology import ServerNetwork
-from repro.parallel.budget import slice_budget
 from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     DeployRequest,
@@ -65,7 +65,7 @@ class ShardRouter:
     config:
         The fleet configuration; each shard runs a copy whose
         ``rebalance_budget`` is that shard's
-        :func:`~repro.parallel.budget.slice_budget` share of the global
+        :func:`~repro.algorithms.runtime.slice_budget` share of the global
         budget.
     shards:
         Number of controller instances (>= 1).

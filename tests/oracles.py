@@ -422,36 +422,6 @@ def retired_greedy_moves(
                     (tenant, operation, target)
                 )
         priced: dict[tuple[str, str, str], float] = {}
-        if self.config.parallel_workers > 1 and len(rows) > 1:
-            # one PricingTask per tenant, fanned across the pool;
-            # same kernel in every worker, so the floats (and the
-            # moves chosen from them) match the serial loop below
-            from repro.parallel.worker import (
-                PricingTask,
-                payload_from,
-                run_pricing_task,
-            )
-
-            tenants = list(rows)
-            tasks = [
-                PricingTask(
-                    index=position,
-                    payload=payload_from(
-                        state.tenant(tenant).workflow,
-                        network,
-                        state.cost_model(tenant),
-                    ),
-                    rows=tuple(tuple(row) for row in rows[tenant]),
-                )
-                for position, tenant in enumerate(tenants)
-            ]
-            executions = self._pricing_pool().map_plain(
-                run_pricing_task, tasks
-            )
-            for tenant, tenant_execs in zip(tenants, executions):
-                for key, execution in zip(keys[tenant], tenant_execs):
-                    priced[key] = float(execution)
-            return priced
         for tenant, tenant_rows in rows.items():
             compiled = state.cost_model(tenant).compiled
             scores = compiled.batch_evaluator().evaluate(tenant_rows)

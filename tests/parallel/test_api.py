@@ -109,25 +109,6 @@ class TestReproducibility:
             r.label for r in second.parallel.runs
         ]
 
-    def test_islands_run_is_reproducible(self, line5, bus5, model):
-        def run():
-            return deploy_parallel(
-                AlgorithmSpec.of(
-                    "Genetic", generations=8, population_size=8
-                ),
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=9,
-                plan="islands",
-                inline=True,
-            )
-
-        first, second = run(), run()
-        assert first.best.as_dict() == second.best.as_dict()
-        assert _strip(first.report) == _strip(second.report)
-
     def test_live_rng_rejected_for_sharded_runs(self, line5, bus5, model):
         with pytest.raises(AlgorithmError):
             deploy_parallel(
@@ -200,25 +181,6 @@ class TestBudgetEnforcement:
         assert outcome.report.stop_reason == STOP_CANCELLED
         assert outcome.best is not None
 
-    def test_precancelled_islands_still_yield_a_deployment(
-        self, line5, bus5, model
-    ):
-        cancel = CancelToken()
-        cancel.cancel()
-        outcome = deploy_parallel(
-            AlgorithmSpec.of("Genetic", generations=30),
-            line5,
-            bus5,
-            cost_model=model,
-            workers=2,
-            seed=1,
-            plan="islands",
-            cancel=cancel,
-            inline=True,
-        )
-        assert outcome.report.stop_reason == STOP_CANCELLED
-        assert outcome.best is not None
-
     def test_target_value_stops_the_race(self, line5, bus5, model):
         # a target above any feasible objective is reached immediately
         outcome = deploy_parallel(
@@ -236,22 +198,26 @@ class TestBudgetEnforcement:
 
 
 class TestPlanValidation:
-    def test_islands_require_the_genetic_algorithm(self, line5, bus5, model):
-        with pytest.raises(AlgorithmError):
-            deploy_parallel(
-                "SimulatedAnnealing",
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=1,
-                plan="islands",
-                inline=True,
-            )
+    def test_genetic_races_seeded_restarts(self, line5, bus5, model):
+        outcome = deploy_parallel(
+            AlgorithmSpec.of("Genetic", generations=4, population_size=6),
+            line5,
+            bus5,
+            cost_model=model,
+            workers=2,
+            seed=1,
+            inline=True,
+        )
+        assert outcome.parallel.plan == "restarts"
+        assert [run.label for run in outcome.parallel.runs] == [
+            "Genetic(generations=4,population_size=6)#0",
+            "Genetic(generations=4,population_size=6)#1",
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partition_plan_is_retired(self, line5, bus5, model, workers):
-        with pytest.raises(AlgorithmError):
+        # every plan but seeded restarts is gone, and the option with them
+        with pytest.raises(TypeError):
             deploy_parallel(
                 "HillClimbing@HeavyOps-LargeMsgs",
                 line5,

@@ -44,13 +44,6 @@ class TestParallelRuntime:
         with pytest.raises(Exception):
             ParallelRuntime(0)
 
-    def test_inline_map_plain_preserves_order(self):
-        runtime = ParallelRuntime(2, inline=True)
-        try:
-            assert runtime.map_plain(_double, [1, 2, 3]) == [2, 4, 6]
-        finally:
-            runtime.close()
-
     def test_inline_ledger_for_inline_mode(self):
         from repro.parallel.budget import InlineLedger
 
@@ -64,7 +57,3 @@ class TestParallelRuntime:
         runtime = ParallelRuntime(2, inline=True)
         runtime.close()
         runtime.close()
-
-
-def _double(x):
-    return 2 * x

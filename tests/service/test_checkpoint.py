@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -116,6 +117,15 @@ class TestConfigCodec:
     def test_encoding_keeps_the_retired_use_batch_key(self):
         # encoded configs stay byte-identical to earlier documents
         assert config_to_dict(FleetConfig())["use_batch"] is True
+
+    def test_encoding_keeps_the_retired_parallel_workers_key(self):
+        # encoded configs stay byte-identical to earlier documents
+        assert config_to_dict(FleetConfig())["parallel_workers"] == 1
+
+    def test_parallel_workers_can_no_longer_be_set(self):
+        assert FleetConfig.parallel_workers == 1
+        with pytest.raises(TypeError):
+            FleetConfig(parallel_workers=2)
 
     def test_budget_none_passes_through(self):
         assert budget_to_dict(None) is None
@@ -232,6 +242,30 @@ class TestVerifiedRestore:
         assert pending == ()
         assert restored.log.to_text() == controller.log.to_text()
         assert restored.state.snapshot() == controller.state.snapshot()
+
+    def test_documents_with_retired_parallel_workers_resume(self, tmp_path):
+        # a controller that priced on worker processes made the serial
+        # decisions, so its checkpoints restore, verify and resume
+        scenario = build_scenario("drift", seed=3)
+        cut = len(scenario.events) // 2
+        crashed = _replay_all(
+            dataclasses.replace(scenario, events=scenario.events[:cut])
+        )
+        path = crashed.checkpoint(
+            tmp_path / "fleet.json", pending=scenario.events[cut:]
+        )
+        document = json.loads(path.read_text())
+        logs = {}
+        for workers in (1, 2):
+            document["config"]["parallel_workers"] = workers
+            path.write_text(json.dumps(document))
+            resumed, pending = restore_controller(path)
+            for event in pending:
+                resumed.handle(event)
+            logs[workers] = [record_to_dict(r) for r in resumed.log]
+        uninterrupted = _replay_all(build_scenario("drift", seed=3))
+        assert logs[2] == logs[1]
+        assert logs[1] == [record_to_dict(r) for r in uninterrupted.log]
 
     def test_classmethod_restore_matches_function(self, tmp_path):
         controller = replay("steady", seed=7)

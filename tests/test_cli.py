@@ -127,7 +127,9 @@ class TestDeploy:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_partition_plan_is_a_usage_error(self, instance_path, capsys):
+    @staticmethod
+    def _assert_plan_rejected(instance_path, capsys, algorithm, plan):
+        """``--plan`` is gone: any value is an argparse usage error."""
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -135,15 +137,23 @@ class TestDeploy:
                     "--instance",
                     str(instance_path),
                     "--algorithm",
-                    "HillClimbing",
+                    algorithm,
                     "--workers",
                     "2",
                     "--plan",
-                    "partition",
+                    plan,
                 ]
             )
         assert excinfo.value.code == 2
         assert "--plan" in capsys.readouterr().err
+
+    def test_partition_plan_is_a_usage_error(self, instance_path, capsys):
+        self._assert_plan_rejected(
+            instance_path, capsys, "HillClimbing", "partition"
+        )
+
+    def test_islands_plan_is_a_usage_error(self, instance_path, capsys):
+        self._assert_plan_rejected(instance_path, capsys, "Genetic", "islands")
 
 
 class TestTopologyOverride:
