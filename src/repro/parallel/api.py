@@ -50,16 +50,6 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _materialize_algorithm(
-    algorithm: "AlgorithmSpec | DeploymentAlgorithm | str",
-) -> "AlgorithmSpec | DeploymentAlgorithm":
-    return AlgorithmSpec.coerce(algorithm)
-
-
-def _build(entry: "AlgorithmSpec | DeploymentAlgorithm") -> DeploymentAlgorithm:
-    return entry.build() if isinstance(entry, AlgorithmSpec) else entry
-
-
 def _serial_outcome(
     entry: "AlgorithmSpec | DeploymentAlgorithm",
     workflow: Workflow,
@@ -78,7 +68,7 @@ def _serial_outcome(
     """
     if cost_model is None:
         cost_model = CostModel(workflow, network)
-    algorithm = _build(entry)
+    algorithm = entry.build() if isinstance(entry, AlgorithmSpec) else entry
     deployment, report = algorithm.deploy_with_report(
         workflow,
         network,
@@ -148,7 +138,7 @@ def deploy_parallel(
         ParallelRuntime` (pool + manager); otherwise one is created for
         the call and closed afterwards.
     """
-    entry = _materialize_algorithm(algorithm)
+    entry = AlgorithmSpec.coerce(algorithm)
     if workers is None:
         workers = runtime.workers if runtime is not None else default_workers()
     SearchBudget.validate_count("workers", workers)
