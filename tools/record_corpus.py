@@ -7,9 +7,16 @@ log's ``.6f`` rendering would hide ulp drift:
   canonical JSON of the decision log (``record_to_dict`` per record;
   JSON floats are exact ``repr``), and ``repr`` of the fleet metrics;
 * seeded serial deployments (``deploy_parallel(..., workers=1)``) of
-  four algorithms on a 20-op x 10-server bus instance and a 60-op x
-  50-server geo instance: the sha256 of the mapping and ``repr`` of the
-  objective.
+  nine registered algorithms on a 20-op x 10-server bus instance and a
+  60-op x 50-server geo instance: the sha256 of the mapping and
+  ``repr`` of the objective.
+
+Four registered algorithms are left out of the deployment entries:
+
+* ``ConstraintAware`` takes about 4 s per geo deploy;
+* ``Exhaustive`` and ``BranchAndBound`` search an exponential space;
+* ``Line-Line`` needs a line workflow, and both reference workflows are
+  hybrid graphs.
 
 ``tests/test_corpus.py`` recomputes every entry and compares. A change
 that is meant to move a decision re-records here, and names the moved
@@ -37,6 +44,11 @@ DEPLOY_ALGORITHMS = (
     "SimulatedAnnealing",
     "Genetic",
     "HeavyOps-LargeMsgs",
+    "FairLoad",
+    "FL-MergeMsgEnds",
+    "FL-TieResolver",
+    "FL-TieResolver2",
+    "Random",
 )
 #: Seed of the workflow and network of each reference instance.
 INSTANCE_SEED = 1
