@@ -10,6 +10,10 @@ Perf numbers additionally land in machine-readable JSON
 (``output/<name>.json`` via :func:`write_json`, plus a ``.json`` sidecar
 of every :func:`emit` call) so successive PRs can diff the perf
 trajectory instead of parsing tables.
+
+Smoke runs (``BENCH_SMOKE`` set) write to the gitignored
+``benchmarks/output/smoke/`` instead, so their reduced-scale figures
+never overwrite the committed full-run records.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import os
 import pathlib
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+if os.environ.get("BENCH_SMOKE", "") not in ("", "0"):
+    OUTPUT_DIR = OUTPUT_DIR / "smoke"
 
 
 def perf_floor(name: str, default: float) -> float:
