@@ -27,11 +27,12 @@ bench:
 # parity of the search runtime, the batch-vs-scalar parity of the
 # vectorized kernel, the 2-worker process pool (portfolio race +
 # workers=1 identity), the transition-aware-vs-blind drift replay, the
-# naive-vs-rebalancing Abilene link-failure replay, and the batched
-# route-compile / scoped-invalidation comparison, and the fleet
-# rebalance against its frozen per-candidate scan (the deterministic
-# ratio, Dijkstra-count, kernel-row and identical-log floors ARE
-# asserted) without asserting the hardware perf floors
+# naive-vs-rebalancing Abilene link-failure replay, the batched
+# route compile against the per-pair fill, and the fleet rebalance
+# against its frozen per-candidate scan (the deterministic ratio,
+# Dijkstra-count, kernel-row and identical-log floors ARE asserted)
+# without asserting the hardware perf floors; results land in the
+# gitignored benchmarks/output/smoke/
 bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_move_eval.py benchmarks/bench_core_perf.py benchmarks/bench_runtime.py benchmarks/bench_batch_eval.py benchmarks/bench_parallel.py benchmarks/bench_service_queue.py benchmarks/bench_migration.py benchmarks/bench_topology.py benchmarks/bench_routing.py benchmarks/bench_rebalance.py --benchmark-disable -q
 

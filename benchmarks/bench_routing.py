@@ -1,43 +1,30 @@
-"""Benchmark: batched route compilation and link-scoped invalidation.
+"""Benchmark: batched all-pairs route compilation.
 
-Two experiments over the routing layer (see DESIGN.md §15):
+One experiment over the routing layer (see DESIGN.md §15): filling the
+full all-pairs route table of a 50-server geo fleet (complete,
+heterogeneous graph) two ways -- the retired lazy path (every pair
+classified by its own targeted Dijkstra queries, frozen in
+``tests/oracles.py``) versus
+:meth:`~repro.network.routing.Router.compile_all_pairs` (per-source
+sweeps plus the dense direct-dominance fast path). Both tables must be
+*byte-identical*; the compiled path must win on Dijkstra count
+(deterministic -- asserted even in smoke) and on wall clock
+(hardware-dependent -- asserted only in full runs, floor env-tunable
+via ``BENCH_FLOOR_ROUTING``).
 
-* **compile** -- filling the full all-pairs route table of a 50-server
-  geo fleet (complete, heterogeneous graph) two ways: the retired lazy
-  path (every pair classified by its own targeted Dijkstra queries,
-  frozen in ``tests/oracles.py``) versus
-  :meth:`~repro.network.routing.Router.compile_all_pairs` (per-source
-  sweeps plus the dense direct-dominance fast path). Both tables must
-  be *byte-identical*; the compiled path must win on Dijkstra count
-  (deterministic -- asserted even in smoke) and on wall clock
-  (hardware-dependent -- asserted only in full runs, floor env-tunable
-  via ``BENCH_FLOOR_ROUTING``).
-
-* **invalidation** -- replaying the seeded ``abilene`` scenario under
-  the production ``scoped`` route invalidation versus the retired
-  ``lazy`` mode (drop every route cache and refill per pair on demand,
-  frozen in ``tests/oracles.py``) and summing the router's Dijkstra runs
-  across the link events (brownouts/failures). Scoped invalidation recomputes only the pairs
-  whose classification paths crossed a changed link, so it must spend
-  at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer runs per link
-  event -- a deterministic, seeded count asserted even in smoke. The
-  two replays' decision logs must match byte for byte (route
-  maintenance must never change a decision).
+A link event recompiles the same whole table, so this compile is also
+the fleet's per-link-event routing cost.
 
 Results land in ``output/BENCH_routing.json``. ``BENCH_SMOKE=1`` runs
-the compile arm on a smaller 20-server fleet and skips only the
-wall-clock floor.
+on a smaller 20-server fleet and skips only the wall-clock floor.
 """
 
 import os
 import time
 
-from repro.core.clock import StepClock
 from repro.network.routing import Router
 from repro.scenarios import random_geo_network
-from repro.service.controller import FleetController
-from repro.service.scenarios import build_scenario
-from tests.oracles import lazy_router, use_route_invalidation
+from tests.oracles import lazy_router
 
 from _common import emit, perf_floor, write_json
 
@@ -46,7 +33,6 @@ SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 #: Compile arm: regions x servers-per-region of the geo fleet.
 REGIONS = 5
 SERVERS_PER_REGION = 4 if SMOKE else 10
-SCENARIO = "abilene"
 SEED = 0
 
 #: Wall-clock floor for full-table compile vs lazy per-pair fill
@@ -54,19 +40,14 @@ SEED = 0
 COMPILE_WALL_FLOOR = perf_floor("ROUTING", 3.0)
 #: Dijkstra-count floor for the same comparison (deterministic).
 COMPILE_RUNS_FLOOR = perf_floor("ROUTING_RUNS", 5.0)
-#: Per-link-event Dijkstra-count floor, scoped vs full invalidation
-#: (deterministic: seeded replay, counted work).
-EVENTS_RUNS_FLOOR = perf_floor("ROUTING_EVENTS", 5.0)
 
 _RESULTS: dict = {
     "smoke": SMOKE,
     "regions": REGIONS,
     "servers_per_region": SERVERS_PER_REGION,
-    "scenario": SCENARIO,
     "seed": SEED,
     "compile_wall_floor": COMPILE_WALL_FLOOR,
     "compile_runs_floor": COMPILE_RUNS_FLOOR,
-    "events_runs_floor": EVENTS_RUNS_FLOOR,
 }
 
 
@@ -178,72 +159,3 @@ def bench_routing_compile(benchmark):
             f"{COMPILE_WALL_FLOOR:.2f}x"
         )
 
-
-LINK_EVENTS = ("link-failed", "link-degraded")
-
-
-def _replay_counting(mode: str):
-    """Replay abilene under *mode*; per-link-event Dijkstra-run deltas."""
-    scenario = build_scenario(SCENARIO, seed=SEED)
-    controller = FleetController(
-        scenario.network, config=scenario.config, clock=StepClock()
-    )
-    use_route_invalidation(controller, mode)
-    link_runs = 0
-    link_events = 0
-    for event in scenario.events:
-        before = controller.state.router_dijkstra_runs
-        controller.handle(event)
-        if event.kind in LINK_EVENTS:
-            link_runs += controller.state.router_dijkstra_runs - before
-            link_events += 1
-    return controller, link_runs, link_events
-
-
-def bench_routing_invalidation(benchmark):
-    """Dijkstra runs per link event: scoped vs full invalidation."""
-
-    def run_both():
-        return _replay_counting("scoped"), _replay_counting("lazy")
-
-    benchmark(run_both)
-
-    (scoped, scoped_runs, events), (lazy, lazy_runs, _) = run_both()
-
-    # route maintenance must never change a fleet decision
-    assert scoped.log.to_text() == lazy.log.to_text(), (
-        "scoped and full invalidation produced different decision logs"
-    )
-
-    ratio = lazy_runs / scoped_runs if scoped_runs else float("inf")
-    scoped_metrics = scoped.metrics()
-
-    _RESULTS["events_link_count"] = events
-    _RESULTS["events_scoped_runs"] = scoped_runs
-    _RESULTS["events_full_runs"] = lazy_runs
-    _RESULTS["events_runs_ratio"] = ratio
-    _RESULTS["events_scoped_total_runs"] = scoped_metrics.route_dijkstra_runs
-    _RESULTS["events_pairs_invalidated"] = (
-        scoped_metrics.route_pairs_invalidated
-    )
-    _RESULTS["events_pairs_recomputed"] = (
-        scoped_metrics.route_pairs_recomputed
-    )
-    _flush_results()
-
-    emit(
-        "routing_invalidation",
-        f"scenario {SCENARIO!r} (seed {SEED}), {events} link events"
-        + (" (smoke)" if SMOKE else ""),
-        f"full invalidation:     {lazy_runs:6d} Dijkstra runs on link events",
-        f"scoped invalidation:   {scoped_runs:6d} Dijkstra runs on link "
-        f"events ({scoped_metrics.route_pairs_invalidated} pairs "
-        f"invalidated, {scoped_metrics.route_pairs_recomputed} recomputed)",
-        f"per-event run ratio:   {ratio:8.2f}x "
-        f"(floor {EVENTS_RUNS_FLOOR:.2f})",
-    )
-    if EVENTS_RUNS_FLOOR > 0:
-        assert ratio >= EVENTS_RUNS_FLOOR, (
-            f"scoped invalidation saved too few Dijkstra runs: "
-            f"{ratio:.2f}x < floor {EVENTS_RUNS_FLOOR:.2f}x"
-        )

@@ -45,6 +45,7 @@ from repro.algorithms.base import (
 from repro.algorithms.fair_load import sorted_operations_by_cost
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.runtime import SearchBudget, SearchStep
+from repro.core.compiled import penalty_statistic
 from repro.core.mapping import Deployment
 from repro.core.workflow import NodeKind
 from repro.exceptions import SearchSpaceTooLargeError
@@ -184,10 +185,7 @@ class BranchAndBound(DeploymentAlgorithm):
             bump = budget / capacity
             for j in range(i + 1):
                 levelled[j] += bump
-        # the deviation statistic only reads the values; keys are dummies
-        return context.cost_model._penalty_from_loads(
-            {str(j): value for j, value in enumerate(levelled)}
-        )
+        return penalty_statistic(levelled, context.cost_model.penalty_mode)
 
     # ------------------------------------------------------------------
     # search

@@ -217,21 +217,24 @@ class BatchEvaluator:
         matrix = self._delay_matrices.get(size_bits)
         if matrix is None:
             matrix = self._base + size_bits * self._rate
-            if self._sized_pairs:
-                router = self.compiled.router
-                names = self.compiled.server_names
-                values = router.transmission_times(
-                    [(names[i], names[j]) for i, j in self._sized_pairs],
-                    size_bits,
-                )
-                for (i, j), value in zip(self._sized_pairs, values):
-                    matrix[i, j] = value
+            self._fill_sized_pairs(matrix, size_bits)
             self._delay_matrices[size_bits] = matrix
         return matrix
 
-    def refresh_routes(
-        self, affected: "set[tuple[int, int]] | None" = None
+    def _fill_sized_pairs(
+        self, matrix: "np.ndarray", size_bits: float
     ) -> None:
+        """Write the router's per-size answers for size-dependent pairs."""
+        if not self._sized_pairs:
+            return
+        names = self.compiled.server_names
+        values = self.compiled.router.transmission_times(
+            [(names[i], names[j]) for i, j in self._sized_pairs], size_bits
+        )
+        for (i, j), value in zip(self._sized_pairs, values):
+            matrix[i, j] = value
+
+    def refresh_routes(self) -> None:
         """Rebuild the dense delay matrices after a route refresh.
 
         Called by :meth:`CompiledInstance.refresh_routes
@@ -239,20 +242,9 @@ class BatchEvaluator:
         shared route table holds the post-event coefficients: re-reads
         every pair into ``base``/``rate`` and recomputes each cached
         per-size matrix **in place**, because the per-operation incoming
-        tuples hold references to those arrays. One bulk pass instead of
+        tuples hold references to those arrays. Size-dependent pairs are
+        re-queried through the router. One bulk pass instead of
         discarding the evaluator and rebuilding it.
-
-        *affected* (index pairs, both directions) scopes the expensive
-        part: a size-dependent pair outside the affected set kept its
-        per-size optimal paths across the (strictly worsening) change,
-        so its old matrix entries are restored verbatim instead of
-        re-running one Dijkstra per cached message size. That is only
-        sound because :meth:`repro.network.routing.Router.invalidate`
-        reports *every* pair whose per-size fallback entries it dropped
-        -- including pairs whose classification paths avoid the change
-        while some per-size optimum crossed it -- so anything outside
-        *affected* provably kept all its sized paths. ``None`` means
-        every pair may have changed -- re-query them all.
         """
         servers = self.num_servers
         compiled = self.compiled
@@ -274,28 +266,9 @@ class BatchEvaluator:
             self._migration_table = np.asarray(
                 compiled.migration_table, dtype=np.float64
             )
-        router = compiled.router
-        names = compiled.server_names
         for size_bits, matrix in self._delay_matrices.items():
-            kept = {
-                (i, j): matrix[i, j]
-                for i, j in self._sized_pairs
-                if affected is not None and (i, j) not in affected
-            }
             matrix[...] = base + size_bits * rate
-            requery: list[tuple[int, int]] = []
-            for i, j in self._sized_pairs:
-                value = kept.get((i, j))
-                if value is not None:
-                    matrix[i, j] = value
-                else:
-                    requery.append((i, j))
-            if requery:
-                values = router.transmission_times(
-                    [(names[i], names[j]) for i, j in requery], size_bits
-                )
-                for (i, j), value in zip(requery, values):
-                    matrix[i, j] = value
+            self._fill_sized_pairs(matrix, size_bits)
 
     # ------------------------------------------------------------------
     # batch construction helpers

@@ -72,9 +72,9 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
     """The fairness statistic over per-server load *values*.
 
     The single implementation behind ``CostModel.time_penalty``, the
-    move evaluator's penalty refresh and the fleet-level
-    ``load_penalty`` -- see :data:`PENALTY_MODES` for the supported
-    *mode* strings (an unknown mode falls through to ``"std"``, which
+    move evaluator's penalty refresh, the branch-and-bound lower bound
+    and the fleet's load penalty -- see :data:`PENALTY_MODES` for the
+    supported *mode* strings (an unknown mode falls through to ``"std"``, which
     matches the historical behaviour of every former copy).
     """
     if not values:
@@ -388,7 +388,7 @@ class CompiledInstance:
             # the whole table (the miss); on a compiled shared router it
             # is a hit and runs no Dijkstra
             self.router.pair_coefficients(*self.server_names[:2])
-        self._refresh_routes(None)
+        self.refresh_routes()
 
     # ------------------------------------------------------------------
     # index resolution
@@ -436,25 +436,16 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # route delays
     # ------------------------------------------------------------------
-    def invalidate_routes(
-        self,
-        changed_links: tuple[tuple[str, str], ...] | None = None,
-        worsening: bool = False,
-        speed_changed: bool = True,
-        propagation_changed: bool = True,
-    ) -> None:
+    def invalidate_routes(self) -> None:
         """Rebuild the route-delay table after link parameters changed.
 
         The explicit invalidation/rebuild hook of the scenario layer:
         when a link fails, degrades or is upgraded, the compiled
         artifact stays valid *except* for everything derived from route
-        delays. The router recomputes immediately (link-scoped when
-        *changed_links* is given with ``worsening=True`` -- a failure or
-        strict degrade -- full otherwise; see
-        :meth:`repro.network.routing.Router.invalidate` for the
-        asymmetry) and the route table, the migration-cost table and the
-        memoised batch evaluator's dense delay matrices are bulk-refilled
-        in one pass.
+        delays. The router recompiles its whole table (see
+        :meth:`repro.network.routing.Router.invalidate`) and the route
+        table, the migration-cost table and the memoised batch
+        evaluator's dense delay matrices are bulk-refilled in one pass.
 
         The contract is *link changes only*: the server set, their
         powers and the workflow must be unchanged (those invalidate the
@@ -468,84 +459,25 @@ class CompiledInstance:
                 f"{self.network.name!r}: the server set changed; "
                 f"recompile the instance instead"
             )
-        affected = self.router.invalidate(
-            changed_links=changed_links,
-            worsening=worsening,
-            speed_changed=speed_changed,
-            propagation_changed=propagation_changed,
-        )
-        self._refresh_routes(affected)
+        self.router.invalidate()
+        self.refresh_routes()
 
-    def refresh_routes(
-        self, affected: set[tuple[str, str]] | None = None
-    ) -> None:
+    def refresh_routes(self) -> None:
         """Refresh route-derived state from an already-updated router.
 
         The fleet path: the shared router was invalidated (and
-        recomputed) once at the state level; each tenant's compiled
-        instance then refreshes its own route table, migration rows and
-        batch matrices from the router's caches. *affected* is the
-        scoped set of canonical ``(server, server)`` name pairs returned
-        by :meth:`repro.network.routing.Router.invalidate` -- the
-        recomputed pairs plus any size-dependent pair whose per-size
-        fallback entries were dropped (its classification stood but its
-        cached per-size prices did not) -- or ``None`` for "every pair
-        changed".
+        recompiled) once at the state level; each tenant's compiled
+        instance then refreshes its own route table, migration table
+        and batch matrices from the router's caches.
         """
-        self._refresh_routes(affected)
-
-    def _refresh_routes(
-        self, affected: set[tuple[str, str]] | None
-    ) -> None:
-        if affected is not None and not affected:
-            return  # scoped invalidation touched none of the routes
-        routes = self.routes
         rows = self.router.coefficient_rows()
-        if affected is None:
-            # rows are patched in place: evaluators may hold the table
-            for row, source in zip(routes, rows):
-                row[:] = source
-        else:
-            server_index = self.server_index
-            pairs = [
-                (server_index[a], server_index[b]) for a, b in affected
-            ]
-            for i, j in pairs:
-                routes[i][j] = rows[i][j]
-                routes[j][i] = rows[j][i]
+        # rows are patched in place: evaluators may hold the table
+        for row, source in zip(self.routes, rows):
+            row[:] = source
         if self.transition_aware:
-            if affected is None:
-                self.migration_table = self._compile_migration_table()
-            else:
-                self._refresh_migration_rows(pairs)
+            self.migration_table = self._compile_migration_table()
         if self._batch is not None:
-            scope = None
-            if affected is not None:
-                scope = {(i, j) for i, j in pairs}
-                scope |= {(j, i) for i, j in pairs}
-            self._batch.refresh_routes(scope)
-
-    def _refresh_migration_rows(
-        self, pairs: list[tuple[int, int]]
-    ) -> None:
-        """Re-price only the migration moves that cross a changed route."""
-        model = self.objective.migration
-        touched: dict[int, set[int]] = {}
-        for i, j in pairs:
-            touched.setdefault(i, set()).add(j)
-            touched.setdefault(j, set()).add(i)
-        table = [list(row) for row in self.migration_table]
-        for op in range(self.num_ops):
-            source = self.baseline_servers[op]
-            targets = touched.get(source)
-            if not targets:
-                continue
-            bits = model.state_bits(self.cycles[op])
-            for target in targets:
-                table[op][target] = model.move_cost(
-                    self.delay(source, target, bits)
-                )
-        self.migration_table = tuple(tuple(row) for row in table)
+            self._batch.refresh_routes()
 
     def route_coefficients(
         self, source: int, target: int

@@ -44,11 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.compiled import (
-    PENALTY_MODES,
-    CompiledInstance,
-    penalty_statistic,
-)
+from repro.core.compiled import PENALTY_MODES, CompiledInstance
 from repro.core.mapping import Deployment
 from repro.core.migration import TransitionObjective
 from repro.core.workflow import Message, Workflow
@@ -270,15 +266,6 @@ class CostModel:
         return compiled.penalty(
             compiled.load_values(compiled.server_vector(deployment))
         )
-
-    def _penalty_from_loads(self, loads: Mapping[str, float]) -> float:
-        """The fairness statistic over an existing per-server load map.
-
-        Kept as the named hook the branch-and-bound lower bound uses to
-        price partial load vectors; delegates to
-        :func:`repro.core.compiled.penalty_statistic`.
-        """
-        return penalty_statistic(list(loads.values()), self.penalty_mode)
 
     # ------------------------------------------------------------------
     # execution time

@@ -101,9 +101,8 @@ class MigrationCostModel:
     def move_cost(self, delay_s: float) -> float:
         """The cost of one move whose state transfer takes *delay_s*.
 
-        The single pricing expression shared by the full migration-table
-        compile and the link-scoped row refresh -- one float operation
-        order, so scoped refreshes are bit-identical to recompiles.
+        The fixed downtime plus the state transfer: the pricing
+        expression of every entry of the compiled migration table.
         """
         return self.downtime_s + delay_s
 

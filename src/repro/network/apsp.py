@@ -70,24 +70,18 @@ WEIGHT_TRANSFER = 1
 class PairRoute:
     """One classified server pair, as the router caches it.
 
-    ``path`` is the representative route (the size-0 optimum unless the
-    min-transfer path dominates), ``alt_path`` the *other*
-    classification path when it differs -- a size-dependent pair's
-    optimum can flip to either, so link-scoped invalidation must watch
-    the links of both. ``zero_path`` / ``large_path`` retain the two
-    raw classification paths: when a later link change touches only one
-    of the two weights, the unchanged weight's pass would reproduce its
-    stored path exactly, so a scoped recompute can reuse it instead of
-    re-running that pass (see ``compile_source_routes``'s *reuse*).
+    ``path`` is the representative route: the size-0 optimum unless the
+    min-transfer path dominates.
     """
 
     path: tuple[str, ...]
     propagation_s: float
     transfer_s_per_bit: float
     size_independent: bool
-    alt_path: tuple[str, ...] | None
-    zero_path: tuple[str, ...]
-    large_path: tuple[str, ...]
+
+    def time(self, size_bits: float) -> float:
+        """Delivery time of a *size_bits* message along :attr:`path`."""
+        return self.propagation_s + size_bits * self.transfer_s_per_bit
 
 
 class CompiledGraph:
@@ -307,22 +301,16 @@ def classify_pair(
     """
     prop_zero, transfer_zero = graph.coefficients(path_zero)
     prop_large, transfer_large = graph.coefficients(path_large)
-    zero_names = graph.to_names(path_zero)
-    large_names = graph.to_names(path_large)
     if transfer_zero <= transfer_large:
         return PairRoute(
-            zero_names, prop_zero, transfer_zero, True, None,
-            zero_names, large_names,
+            graph.to_names(path_zero), prop_zero, transfer_zero, True
         )
     if prop_large <= prop_zero:
         return PairRoute(
-            large_names, prop_large, transfer_large, True, None,
-            zero_names, large_names,
+            graph.to_names(path_large), prop_large, transfer_large, True
         )
-    alt = large_names if large_names != zero_names else None
     return PairRoute(
-        zero_names, prop_zero, transfer_zero, False, alt,
-        zero_names, large_names,
+        graph.to_names(path_zero), prop_zero, transfer_zero, False
     )
 
 
@@ -388,7 +376,6 @@ def compile_source_routes(
     source: int,
     targets,
     dense: "_DenseDominance | None" = None,
-    reuse: "tuple[int, dict[int, tuple[int, ...]]] | None" = None,
 ) -> tuple[dict[int, PairRoute], int]:
     """Classify every ``(source, target)`` pair in one batched sweep.
 
@@ -397,21 +384,12 @@ def compile_source_routes(
     classifies each requested target. Returns ``(routes, dijkstra_runs)``
     where *routes* maps target index to its :class:`PairRoute` and
     *dijkstra_runs* counts the actual passes executed (0, 1 or 2).
-
-    *reuse* -- ``(weight, {target: index_path})`` -- skips that weight's
-    pass and substitutes the given per-target paths. Sound only when the
-    caller knows that weight's graph is unchanged since the paths were
-    computed (e.g. a speed-only degrade leaves every propagation weight
-    and the adjacency intact), in which case a fresh pass -- being
-    deterministic on identical inputs -- would reproduce them exactly.
     """
     runs = 0
     parents: list[list[int] | None] = [None, None]
     dists: list[list[float | None] | None] = [None, None]
     direct = [False, False]
     for weight in (WEIGHT_PROPAGATION, WEIGHT_TRANSFER):
-        if reuse is not None and reuse[0] == weight:
-            continue
         if dense is not None and dense.row_ok(source, weight):
             direct[weight] = True
             continue
@@ -420,8 +398,6 @@ def compile_source_routes(
         runs += 1
 
     def pass_path(weight: int, target: int) -> tuple[int, ...]:
-        if reuse is not None and reuse[0] == weight:
-            return reuse[1][target]
         if direct[weight]:
             return (source, target)
         if dists[weight][target] is None:

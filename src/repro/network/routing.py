@@ -29,8 +29,8 @@ integer-indexed adjacency with precomputed weights, networkx-faithful
 tie-breaking -- in at most ``2 * (S - 1)`` single-source passes (fewer
 when the dense fast path certifies rows of a complete graph). Each pair
 is *built in canonical direction* (the endpoint that comes first in the
-network's server order is the Dijkstra source), so the compiled and the
-incrementally-refreshed tables hold bit-identical coefficients.
+network's server order is the Dijkstra source), so both directions of a
+pair hold bit-identical coefficients.
 
 The router is the *single owner of path selection*: every route-delay
 consumer -- :class:`~repro.core.compiled.CompiledInstance`'s route table
@@ -42,23 +42,18 @@ line; those are just the easy special cases.
 
 Cache effectiveness is observable through :attr:`Router.hits` /
 :attr:`Router.misses` / :attr:`Router.hit_rate`; recompute effort
-through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
-:attr:`Router.pairs_recomputed` and :attr:`Router.last_invalidation`.
-Link parameters may change at runtime (the fleet's link
-failure/degradation events); :meth:`Router.invalidate` recomputes
-immediately. Given ``changed_links`` and ``worsening=True`` it drops
-*only* the pairs whose classification paths traverse a changed link (a
-strict worsening cannot make an untouched path sub-optimal) and
-recomputes just those; improvements or additions can re-route *any*
-pair, so they always fall back to a full recompile. That asymmetry is
-the core of link-scoped invalidation -- see DESIGN.md §15.
+through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`
+and :attr:`Router.pairs_recomputed`. Link parameters may change at
+runtime (the fleet's link failure/degradation events);
+:meth:`Router.invalidate` then drops every route and recompiles the
+whole table at once. Link events are rare next to pricing queries, so
+one refresh path for every kind of change is the whole policy -- see
+DESIGN.md §15.
 
 Between mutations the network is treated as frozen.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.network import apsp
 from repro.network.topology import ServerNetwork
@@ -69,19 +64,6 @@ __all__ = ["Router"]
 #: before the oldest half is evicted (bounds memory on adversarial
 #: workloads; size-independent pairs never consume these entries).
 SIZED_CACHE_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class _Route:
-    """One cached route: its path and affine time coefficients."""
-
-    path: tuple[str, ...]
-    propagation_s: float
-    transfer_s_per_bit: float
-    size_independent: bool
-
-    def time(self, size_bits: float) -> float:
-        return self.propagation_s + size_bits * self.transfer_s_per_bit
 
 
 class Router:
@@ -104,32 +86,18 @@ class Router:
         per-size fallback pass.
     dijkstra_runs:
         Cumulative single-source Dijkstra passes executed (table
-        compiles, per-size fallbacks and scoped recomputes alike) -- the
-        unit of routing work the benchmarks compare.
+        compiles and per-size fallbacks alike) -- the unit of routing
+        work the benchmarks compare.
     pairs_invalidated, pairs_recomputed:
         Cumulative counts over :meth:`invalidate` calls: how many cached
         pairs were dropped, and how many were eagerly recomputed.
-    last_invalidation:
-        A summary dict of the most recent :meth:`invalidate` call
-        (``mode``/``changed_links``/``pairs_invalidated``/
-        ``pairs_recomputed``/``dijkstra_runs``, plus
-        ``sized_pairs_dropped`` in scoped mode), or ``None``.
     """
 
     def __init__(self, network: ServerNetwork):
         self._network = network
         self._graph: apsp.CompiledGraph | None = None
-        self._route_cache: dict[tuple[str, str], _Route] = {}
+        self._route_cache: dict[tuple[str, str], apsp.PairRoute] = {}
         self._sized_path_cache: dict[tuple[str, str, float], tuple[str, ...]] = {}
-        # link-scoped invalidation reverse index: which cached pairs have
-        # a classification path traversing a given link, and the inverse
-        self._link_pairs: dict[frozenset[str], set[tuple[str, str]]] = {}
-        self._pair_links: dict[tuple[str, str], frozenset[frozenset[str]]] = {}
-        # raw (zero_path, large_path) per canonical pair, kept so a
-        # change touching only one weight can reuse the other's pass
-        self._pair_paths: dict[
-            tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]
-        ] = {}
         self._coefficient_rows = self._empty_rows()
         self._compiled_all = False
         self.hits = 0
@@ -137,7 +105,6 @@ class Router:
         self.dijkstra_runs = 0
         self.pairs_invalidated = 0
         self.pairs_recomputed = 0
-        self.last_invalidation: dict[str, object] | None = None
 
     @property
     def network(self) -> ServerNetwork:
@@ -181,33 +148,17 @@ class Router:
         )
         self._coefficient_rows[index[a]][index[b]] = coefficients
         self._coefficient_rows[index[b]][index[a]] = coefficients
-        route = _Route(
-            record.path,
+        self._route_cache[(a, b)] = record
+        # symmetric network: the reverse path is optimal in reverse,
+        # with the *same* coefficient floats
+        self._route_cache[(b, a)] = apsp.PairRoute(
+            record.path[::-1],
             record.propagation_s,
             record.transfer_s_per_bit,
             record.size_independent,
         )
-        self._route_cache[(a, b)] = route
-        # symmetric network: the reverse path is optimal in reverse,
-        # with the *same* coefficient floats
-        self._route_cache[(b, a)] = _Route(
-            route.path[::-1],
-            route.propagation_s,
-            route.transfer_s_per_bit,
-            route.size_independent,
-        )
-        paths = (record.path,)
-        if record.alt_path is not None:
-            paths += (record.alt_path,)
-        links = frozenset(
-            frozenset(edge) for path in paths for edge in zip(path, path[1:])
-        )
-        self._pair_links[(a, b)] = links
-        for link in links:
-            self._link_pairs.setdefault(link, set()).add((a, b))
-        self._pair_paths[(a, b)] = (record.zero_path, record.large_path)
 
-    def _route(self, source: str, target: str) -> _Route:
+    def _route(self, source: str, target: str) -> apsp.PairRoute:
         """The classified route of a non-co-located pair (one query).
 
         A miss compiles the whole table: it only happens on a router
@@ -394,7 +345,9 @@ class Router:
             return (route.propagation_s, route.transfer_s_per_bit)
         return None
 
-    def cached_route(self, source: str, target: str) -> _Route | None:
+    def cached_route(
+        self, source: str, target: str
+    ) -> apsp.PairRoute | None:
         """The cached entry for a pair, without counting a query.
 
         ``None`` until the table is compiled.
@@ -461,170 +414,28 @@ class Router:
         self._compiled_all = True
         return len(compiled)
 
-    def invalidate(
-        self,
-        changed_links: tuple[tuple[str, str], ...] | None = None,
-        worsening: bool = False,
-        speed_changed: bool = True,
-        propagation_changed: bool = True,
-    ) -> set[tuple[str, str]] | None:
+    def invalidate(self) -> None:
         """Eagerly refresh routes after a link change.
 
-        With *changed_links* (endpoint pairs) and ``worsening=True`` --
-        a link failure, or a degrade that is slower and/or laggier --
-        only the cached pairs whose classification paths traverse a
-        changed link are dropped and recomputed: a path untouched by a
-        strict worsening keeps exactly its coefficients and stays
-        optimal, because every alternative only got worse. The returned
-        set of canonical pairs is everything whose *route-derived state*
-        may have changed: the recomputed pairs, plus any size-dependent
-        pair whose cached per-size fallback path crossed a changed link
-        -- a pair's per-size optimum can be a third Pareto path through
-        the change while both classification paths avoid it, so its
-        classification stands but consumers caching per-size prices
-        (dense delay matrices, migration rows) must re-derive them.
-
-        Anything else -- no link set, an improvement, a new link -- can
-        re-route pairs whose cached paths *avoid* the change, so the
-        whole table is dropped and recompiled via
-        :meth:`compile_all_pairs`; ``None`` is returned meaning "all
-        pairs". Hit/miss counters are preserved either way (this is
-        maintenance, not traffic); the work done is recorded in
-        :attr:`last_invalidation` and the cumulative counters.
-
-        *speed_changed* / *propagation_changed* scope the recompute
-        further: when a worsening touched only link speeds (a
-        speed-only degrade), the propagation-weight graph is unchanged,
-        so the affected pairs' stored min-propagation paths are exactly
-        what a fresh pass would return and only the min-transfer passes
-        re-run (and symmetrically). Leave both ``True`` -- the
-        conservative default -- for failures or mixed degrades.
+        Drops every cached route -- classified pairs and per-size
+        fallbacks alike -- and recompiles the whole table via
+        :meth:`compile_all_pairs` over a fresh snapshot of the links.
+        Any link change (a failure, a degrade, an upgrade, a new link)
+        can re-route any pair, and link events are rare next to
+        pricing queries, so one whole-table refresh serves them all.
+        Hit/miss counters are preserved (this is maintenance, not
+        traffic); the work done lands in :attr:`dijkstra_runs`,
+        :attr:`pairs_invalidated` and :attr:`pairs_recomputed`.
         """
-        links: frozenset[frozenset[str]] | None = None
-        if changed_links is not None:
-            links = frozenset(frozenset(pair) for pair in changed_links)
-        if links and worsening:
-            reuse_weight: int | None = None
-            if not propagation_changed and speed_changed:
-                reuse_weight = apsp.WEIGHT_PROPAGATION
-            elif not speed_changed and propagation_changed:
-                reuse_weight = apsp.WEIGHT_TRANSFER
-            return self._invalidate_scoped(links, reuse_weight)
-        return self._invalidate_full(len(links) if links else 0)
-
-    def _invalidate_full(self, changed: int) -> None:
         invalidated = len(self._route_cache) // 2
-        runs_before = self.dijkstra_runs
         self._drop_all_routes()
         recomputed = self.compile_all_pairs()
         self.pairs_invalidated += invalidated
         self.pairs_recomputed += recomputed
-        self.last_invalidation = {
-            "mode": "full",
-            "changed_links": changed,
-            "pairs_invalidated": invalidated,
-            "pairs_recomputed": recomputed,
-            "dijkstra_runs": self.dijkstra_runs - runs_before,
-        }
-        return None
-
-    def _invalidate_scoped(
-        self,
-        links: frozenset[frozenset[str]],
-        reuse_weight: int | None = None,
-    ) -> set[tuple[str, str]]:
-        runs_before = self.dijkstra_runs
-        affected: set[tuple[str, str]] = set()
-        for link in links:
-            affected |= self._link_pairs.get(link, set())
-        reusable: dict[tuple[str, str], tuple[str, ...]] = {}
-        for pair in affected:
-            if reuse_weight is not None:
-                reusable[pair] = self._pair_paths[pair][reuse_weight]
-            self._pair_paths.pop(pair, None)
-            for link in self._pair_links.pop(pair, ()):  # clean the index
-                owners = self._link_pairs.get(link)
-                if owners is not None:
-                    owners.discard(pair)
-                    if not owners:
-                        del self._link_pairs[link]
-            a, b = pair
-            del self._route_cache[(a, b)]
-            del self._route_cache[(b, a)]
-        # sized fallbacks: only entries whose stored path crosses a
-        # changed link can be stale under a strict worsening. Their
-        # pairs are not necessarily in `affected` -- a size-dependent
-        # pair's optimum at one size can be a third Pareto path through
-        # a changed link while both classification paths avoid it -- so
-        # the dropped pairs are reported alongside the recomputed ones,
-        # or consumers would restore the dropped sizes' old (now too
-        # optimistic) prices verbatim.
-        sized_dropped: set[tuple[str, str]] = set()
-        stale = [
-            key
-            for key, path in self._sized_path_cache.items()
-            if any(frozenset(edge) in links for edge in zip(path, path[1:]))
-        ]
-        for key in stale:
-            del self._sized_path_cache[key]
-            sized_dropped.add(key[:2])
-        # link weights changed: re-snapshot, then recompute the affected
-        # pairs in batched per-source sweeps (canonical direction); when
-        # only one weight changed the other's stored paths stand in for
-        # its pass -- a deterministic rerun over an unchanged weight
-        # graph could only reproduce them
-        self._graph = None
-        graph = self._compiled_graph()
-        index = graph.index
-        sized_only = {
-            pair if index[pair[0]] < index[pair[1]] else pair[::-1]
-            for pair in sized_dropped
-        } - affected
-        by_source: dict[int, list[int]] = {}
-        for a, b in affected:
-            by_source.setdefault(graph.index[a], []).append(graph.index[b])
-        dense = apsp.dense_dominance(graph)
-        for si in sorted(by_source):
-            targets = sorted(by_source[si])
-            reuse = None
-            if reuse_weight is not None:
-                source_name = graph.names[si]
-                reuse = (
-                    reuse_weight,
-                    {
-                        ti: tuple(
-                            graph.index[name]
-                            for name in reusable[
-                                (source_name, graph.names[ti])
-                            ]
-                        )
-                        for ti in targets
-                    },
-                )
-            routes, runs = apsp.compile_source_routes(
-                graph, si, targets, dense, reuse
-            )
-            self.dijkstra_runs += runs
-            for ti, record in routes.items():
-                self._store(graph.names[si], graph.names[ti], record)
-        self.pairs_invalidated += len(affected)
-        self.pairs_recomputed += len(affected)
-        self.last_invalidation = {
-            "mode": "scoped",
-            "changed_links": len(links),
-            "pairs_invalidated": len(affected),
-            "pairs_recomputed": len(affected),
-            "sized_pairs_dropped": len(sized_only),
-            "dijkstra_runs": self.dijkstra_runs - runs_before,
-        }
-        return affected | sized_only
 
     def _drop_all_routes(self) -> None:
         self._route_cache.clear()
         self._sized_path_cache.clear()
-        self._link_pairs.clear()
-        self._pair_links.clear()
-        self._pair_paths.clear()
         self._coefficient_rows = self._empty_rows()
         self._graph = None
         self._compiled_all = False
@@ -636,4 +447,3 @@ class Router:
         self.dijkstra_runs = 0
         self.pairs_invalidated = 0
         self.pairs_recomputed = 0
-        self.last_invalidation = None

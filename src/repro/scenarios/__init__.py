@@ -13,8 +13,9 @@ ServerNetwork`s from the shapes real evaluations use --
 
 Everything here produces *heterogeneous* networks -- per-link speeds
 and propagation delays -- which the routing stack treats as the general
-case end to end (see :mod:`repro.network.routing` and
-:meth:`repro.core.compiled.CompiledInstance.invalidate_routes`). The
+case end to end (see :mod:`repro.network.routing`). A link change at
+runtime recompiles the whole route table
+(:meth:`repro.core.compiled.CompiledInstance.invalidate_routes`). The
 fleet-facing scenario *packs* that replay dynamic events over these
 substrates live in :mod:`repro.service.scenarios`.
 """

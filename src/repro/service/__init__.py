@@ -70,7 +70,6 @@ from repro.service.state import (
     FleetState,
     TenantDeployment,
     jain_index,
-    load_penalty,
 )
 
 __all__ = [
@@ -104,7 +103,6 @@ __all__ = [
     "format_detail",
     "jain_index",
     "load_checkpoint",
-    "load_penalty",
     "make_server",
     "replay",
     "restore_controller",

@@ -63,6 +63,7 @@ from repro.algorithms.runtime import (
     SearchStep,
 )
 from repro.core.clock import StepClock
+from repro.core.compiled import penalty_statistic
 from repro.core.cost import PENALTY_MODES
 from repro.core.migration import MigrationCostModel
 from repro.core.rng import coerce_rng
@@ -83,7 +84,7 @@ from repro.service.events import (
     WorkloadDrift,
 )
 from repro.service.log import FleetLog, FleetMetrics, LogRecord, format_detail
-from repro.service.state import FleetSnapshot, FleetState, load_penalty
+from repro.service.state import FleetSnapshot, FleetState
 
 # StepClock lives in repro.core.clock now (the search runtime needs it
 # too); re-exported here because it is part of this module's public API.
@@ -531,7 +532,6 @@ class FleetController:
             event.b,
             event.speed_factor,
             event.propagation_factor,
-            worsening=event.is_worsening,
         )
         details = {
             "speed_bps": format_detail(link.speed_bps),
@@ -581,74 +581,50 @@ class FleetController:
         these events are not ticks. Returns the detail entries for the
         event's log record.
         """
-        snapshot = self.state.snapshot()
-        if snapshot.objective > 0:
-            drift = (
-                self.state.penalty_weight * snapshot.time_penalty
-                / snapshot.objective
-            )
-        else:
-            drift = 0.0
+        drift = self._drift()
         details = {"drift": format_detail(drift)}
         if drift <= self.config.drift_threshold:
             return details
-        moves, before, after, migration_total = self._greedy_moves(
-            targets=None,
-            candidates=self._busiest_server_operations,
-            max_moves=self.config.max_moves_per_rebalance,
-        )
-        if self.config.rebalance_cooldown_ticks > 0:
-            for tenant, _operation, _source, _target in moves:
-                self._tenant_cooldowns[tenant] = (
-                    self.config.rebalance_cooldown_ticks
-                )
-        details.update(
-            {
-                "churn": format_detail(len(moves)),
-                "objective_before": format_detail(before),
-                "objective_after": format_detail(after),
-                "gain": format_detail(before - after),
-            }
-        )
-        if self._transition_aware:
-            details["migration"] = format_detail(migration_total)
-            details["net_gain"] = format_detail(
-                before - after
-                - self.config.migration_weight * migration_total
-            )
-        report = self.last_rebalance_report
-        if report is not None and not report.exhausted:
-            details["stopped"] = report.stop_reason
+        moves, rebalanced = self._rebalance()
+        self._start_cooldowns(moves)
+        details.update(rebalanced)
         return details
 
     def _on_tick(self, event: Tick) -> tuple[str, str, dict[str, str]]:
-        snapshot = self.state.snapshot()
-        if snapshot.objective > 0:
-            drift = (
-                self.state.penalty_weight * snapshot.time_penalty
-                / snapshot.objective
-            )
-        else:
-            drift = 0.0
+        drift = self._drift()
+        details = {"drift": format_detail(drift)}
         if drift <= self.config.drift_threshold:
             self._decay_cooldowns()
-            return "fleet", "steady", {"drift": format_detail(drift)}
-        moves, before, after, migration_total = self._greedy_moves(
-            targets=None,
-            candidates=self._busiest_server_operations,
-            max_moves=self.config.max_moves_per_rebalance,
-        )
+            return "fleet", "steady", details
+        moves, rebalanced = self._rebalance()
         # cooldown bookkeeping: candidates were filtered against the
         # *pre-decrement* counters, so a cooldown of N skips exactly N
         # ticks; tenants moved this tick start their cooldown afresh
         self._decay_cooldowns()
-        if self.config.rebalance_cooldown_ticks > 0:
-            for tenant, _operation, _source, _target in moves:
-                self._tenant_cooldowns[tenant] = (
-                    self.config.rebalance_cooldown_ticks
-                )
+        self._start_cooldowns(moves)
+        details.update(rebalanced)
+        return "fleet", "rebalanced", details
+
+    def _drift(self) -> float:
+        """The time-penalty share of the fleet objective (0 when idle)."""
+        snapshot = self.state.snapshot()
+        if snapshot.objective > 0:
+            return (
+                self.state.penalty_weight * snapshot.time_penalty
+                / snapshot.objective
+            )
+        return 0.0
+
+    def _rebalance(
+        self,
+    ) -> tuple[list[tuple[str, str, str, str]], dict[str, str]]:
+        """One bounded greedy rebalance; its moves and log details."""
+        moves, before, after, migration_total = self._greedy_moves(
+            targets=None,
+            candidates=self._busiest_server_operations,
+            max_moves=self.config.max_moves_per_rebalance,
+        )
         details = {
-            "drift": format_detail(drift),
             "churn": format_detail(len(moves)),
             "objective_before": format_detail(before),
             "objective_after": format_detail(after),
@@ -663,7 +639,17 @@ class FleetController:
         report = self.last_rebalance_report
         if report is not None and not report.exhausted:
             details["stopped"] = report.stop_reason
-        return "fleet", "rebalanced", details
+        return moves, details
+
+    def _start_cooldowns(
+        self, moves: list[tuple[str, str, str, str]]
+    ) -> None:
+        """Start a fresh rebalance cooldown for every moved tenant."""
+        if self.config.rebalance_cooldown_ticks > 0:
+            for tenant, _operation, _source, _target in moves:
+                self._tenant_cooldowns[tenant] = (
+                    self.config.rebalance_cooldown_ticks
+                )
 
     @property
     def _transition_aware(self) -> bool:
@@ -846,7 +832,7 @@ class FleetController:
         self.evaluations += 1
         current = state.objective_value(
             max(exec_times.values(), default=0.0),
-            load_penalty(list(loads.values()), state.penalty_mode),
+            penalty_statistic(list(loads.values()), state.penalty_mode),
         )
         before = current
         base_loads = np.array(list(loads.values()))

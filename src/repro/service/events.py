@@ -8,7 +8,10 @@ events, which is what makes a whole service lifecycle replayable and
 byte-for-byte reproducible (see :mod:`repro.service.scenarios`).
 
 Every event carries a ``kind`` label used in the :class:`~repro.service.log.FleetLog`
-and the metrics breakdown.
+and the metrics breakdown. The two link events (:class:`LinkFailure`,
+:class:`LinkDegrade`) each make the fleet recompile its whole route
+table; whether a change worsens or improves a link does not matter to
+the controller.
 """
 
 from __future__ import annotations
@@ -233,18 +236,6 @@ class LinkDegrade(FleetEvent):
                 f"LinkDegrade propagation_factor must be finite and >= 0, "
                 f"got {self.propagation_factor!r}"
             )
-
-    @property
-    def is_worsening(self) -> bool:
-        """Whether the change strictly worsens the link.
-
-        True when the link gets no faster *and* no less laggy -- the
-        precondition for link-scoped route invalidation (a route that
-        avoids a worsened link stays optimal). Any improving factor
-        (a speed-up or a propagation cut) can attract routes that never
-        crossed the link, so those fall back to full invalidation.
-        """
-        return self.speed_factor <= 1.0 and self.propagation_factor >= 1.0
 
 
 @dataclass(frozen=True)

@@ -219,12 +219,11 @@ class FleetMetrics:
         when the controller has no migration model configured.
     route_dijkstra_runs:
         Single-source Dijkstra passes executed by the shared router --
-        lazy builds, batched compiles and event-driven recomputes alike
-        (the unit of routing work ``benchmarks/bench_routing.py``
-        compares across invalidation policies).
+        whole-table compiles, per-size fallbacks and link-event
+        recompiles alike.
     route_pairs_invalidated, route_pairs_recomputed:
         Route pairs dropped / eagerly recomputed by link-event
-        invalidations. Stay 0 when no link event occurred.
+        recompiles. Stay 0 when no link event occurred.
     """
 
     events: int

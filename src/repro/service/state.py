@@ -42,7 +42,6 @@ __all__ = [
     "TenantDeployment",
     "FleetSnapshot",
     "FleetState",
-    "load_penalty",
     "jain_index",
 ]
 
@@ -84,16 +83,6 @@ class FleetSnapshot:
     loads: Mapping[str, float]
     balance_index: float
     tenants: int
-
-
-def load_penalty(values: list[float], mode: str) -> float:
-    """The :data:`~repro.core.cost.PENALTY_MODES` statistic over *values*.
-
-    A fleet-facing alias of
-    :func:`repro.core.compiled.penalty_statistic` (formerly a third
-    private copy of the formula).
-    """
-    return penalty_statistic(values, mode)
 
 
 def jain_index(loads: Mapping[str, float]) -> float:
@@ -320,39 +309,24 @@ class FleetState:
         router.pairs_recomputed = self._router.pairs_recomputed
         self._router = router
 
-    def _invalidate_routes(
-        self,
-        changed_links: tuple[tuple[str, str], ...] | None = None,
-        worsening: bool = False,
-        speed_changed: bool = True,
-        propagation_changed: bool = True,
-    ) -> None:
+    def _invalidate_routes(self) -> None:
         """Link parameters changed: rebuild only the route tables.
 
         The cheap sibling of :meth:`_invalidate_caches` for the
         link-level events: the server set, powers and every tenant's
         compiled arrays are still valid, so the cached cost models are
         *kept* and only their route-delay state refreshes. The shared
-        router recomputes *once* -- only the pairs whose paths cross a
-        changed link when *changed_links* describes a strict worsening
-        (a failure, or a degrade that is no faster and no less laggy),
-        the whole table otherwise, because a better link can attract
-        routes that never crossed it -- then every tenant's compiled
-        instance bulk-refills its route table, migration rows and batch
-        matrices from the refreshed caches.
+        router recompiles its whole table *once*, then every tenant's
+        compiled instance bulk-refills its route table, migration table
+        and batch matrices from the refreshed caches.
 
         The epoch still advances -- anything keyed on topology state
         must observe the change.
         """
         self.epoch += 1
-        affected = self._router.invalidate(
-            changed_links=changed_links,
-            worsening=worsening,
-            speed_changed=speed_changed,
-            propagation_changed=propagation_changed,
-        )
+        self._router.invalidate()
         for model in self._cost_models.values():
-            model.compiled.refresh_routes(affected)
+            model.compiled.refresh_routes()
 
     # ------------------------------------------------------------------
     # aggregate load accounting
@@ -441,7 +415,7 @@ class FleetState:
             ),
             default=0.0,
         )
-        penalty = load_penalty(list(loads.values()), self.penalty_mode)
+        penalty = penalty_statistic(list(loads.values()), self.penalty_mode)
         return FleetSnapshot(
             execution_time=execution,
             time_penalty=penalty,
@@ -524,9 +498,7 @@ class FleetState:
             raise ServiceError(
                 f"dropping link {a!r}-{b!r} would disconnect the fleet"
             )
-        # a removal is always a strict worsening: routes avoiding the
-        # link keep exactly their coefficients and stay optimal
-        self._invalidate_routes(changed_links=((a, b),), worsening=True)
+        self._invalidate_routes()
         return link
 
     def degrade_link(
@@ -535,18 +507,13 @@ class FleetState:
         b: str,
         speed_factor: float,
         propagation_factor: float = 1.0,
-        worsening: bool | None = None,
     ) -> Link:
         """Scale a link's speed/propagation in place; routes rebuild.
 
         The replacement :class:`~repro.network.topology.Link` is
         constructed (and validated) first, so a factor that would
         produce an invalid link raises with the fleet unchanged. The
-        graph structure is untouched -- only route caches invalidate:
-        link-scoped when the change is a strict *worsening* (slower
-        and/or laggier -- inferred from the factors when not given),
-        full when any factor improves the link, because a better link
-        can attract routes that never crossed it.
+        graph structure is untouched -- only the route caches refresh.
         """
         link = self._network.link(a, b)
         degraded = Link(
@@ -556,16 +523,7 @@ class FleetState:
             link.propagation_s * propagation_factor,
         )
         self._network.replace_link(degraded)
-        if worsening is None:
-            worsening = speed_factor <= 1.0 and propagation_factor >= 1.0
-        # a no-op factor leaves that weight graph untouched, letting the
-        # scoped recompute reuse the corresponding classification pass
-        self._invalidate_routes(
-            changed_links=((a, b),),
-            worsening=worsening,
-            speed_changed=speed_factor != 1.0,
-            propagation_changed=propagation_factor != 1.0,
-        )
+        self._invalidate_routes()
         return degraded
 
     def set_server_power(self, server: str, power_hz: float) -> Server:

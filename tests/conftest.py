@@ -130,7 +130,8 @@ def pareto_triple():
     (4 s + 5e-7 s/bit) that wins only at intermediate sizes (6.5 s at
     5e6 bits, vs 11 s via x and 10.01 s via y) -- so the sized optimum
     of the size-dependent (A, B) pair crosses links on *neither* of its
-    classification paths. The scoped-invalidation regression trigger.
+    classification paths: a route refresh must re-price its per-size
+    entries, not only its classification.
     """
     network = ServerNetwork("pareto-triple")
     network.add_servers(

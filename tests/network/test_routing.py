@@ -145,7 +145,6 @@ class TestCounters:
         assert router.dijkstra_runs == 0
         assert router.pairs_invalidated == 0
         assert router.pairs_recomputed == 0
-        assert router.last_invalidation is None
         # caches survive: the next query is still a hit
         router.transmission_time("S1", "S2", 8_000)
         assert (router.hits, router.misses) == (1, 0)
@@ -248,140 +247,25 @@ class TestInvalidate:
         network = self._square()
         router = Router(network)
         router.compile_all_pairs()
-        affected = router.invalidate()
-        assert affected is None  # None means "all pairs"
-        assert router.last_invalidation["mode"] == "full"
+        network.replace_link(Link("S1", "S2", 10e6, 0.001))
+        assert router.invalidate() is None
         assert router.pairs_invalidated == 6
         assert router.pairs_recomputed == 6
-
-    def test_scoped_invalidation_recomputes_only_crossing_pairs(self):
-        network = self._square()
-        router = Router(network)
-        router.compile_all_pairs()
-        # worsen the S1-S2 trunk: only routes through it are touched
-        network.replace_link(
-            Link("S1", "S2", 10e6, 0.001)
-        )
-        affected = router.invalidate(
-            changed_links=(("S1", "S2"),), worsening=True
-        )
-        assert affected is not None and affected
-        # the S3-S4 pair rides its own direct link: untouched
-        assert ("S3", "S4") not in affected and ("S4", "S3") not in affected
-        assert router.last_invalidation["mode"] == "scoped"
-        # scoped results equal a fresh router's classification exactly
+        # the recompiled table equals a fresh router's classification
         fresh = Router(network)
+        fresh.compile_all_pairs()
         for a in network.server_names:
             for b in network.server_names:
-                if a == b:
-                    continue
-                fresh.pair_coefficients(a, b)
-                left = router.cached_route(a, b)
-                right = fresh.cached_route(a, b)
-                assert left.path == right.path
-                assert left.propagation_s == right.propagation_s
-                assert left.transfer_s_per_bit == right.transfer_s_per_bit
-                assert left.size_independent == right.size_independent
-
-    def test_improvement_forces_full_invalidation(self):
-        network = self._square()
-        router = Router(network)
-        router.compile_all_pairs()
-        network.replace_link(Link("S1", "S2", 200e6, 0.001))
-        affected = router.invalidate(
-            changed_links=(("S1", "S2"),), worsening=False
-        )
-        assert affected is None
-        assert router.last_invalidation["mode"] == "full"
-
-    def test_speed_only_worsening_reuses_propagation_passes(self):
-        # a speed-only degrade leaves the propagation graph unchanged,
-        # so the scoped recompute skips every min-propagation pass --
-        # and must still match a fresh classification byte for byte
-        network = self._square()
-        router = Router(network)
-        router.compile_all_pairs()
-        runs_before = router.dijkstra_runs
-        network.replace_link(Link("S1", "S2", 10e6, 0.001))
-        router.invalidate(
-            changed_links=(("S1", "S2"),),
-            worsening=True,
-            speed_changed=True,
-            propagation_changed=False,
-        )
-        reuse_runs = router.dijkstra_runs - runs_before
-
-        full = Router(self._square())
-        full.compile_all_pairs()
-        runs_before = full.dijkstra_runs
-        full.network.replace_link(Link("S1", "S2", 10e6, 0.001))
-        full.invalidate(changed_links=(("S1", "S2"),), worsening=True)
-        both_runs = full.dijkstra_runs - runs_before
-        assert reuse_runs < both_runs
-        for a in network.server_names:
-            for b in network.server_names:
-                if a == b:
-                    continue
-                left = router.cached_route(a, b)
-                right = full.cached_route(a, b)
-                assert left.path == right.path
-                assert left.propagation_s == right.propagation_s
-                assert left.transfer_s_per_bit == right.transfer_s_per_bit
-                assert left.size_independent == right.size_independent
+                if a != b:
+                    assert router.cached_route(a, b) == fresh.cached_route(a, b)
 
     def test_invalidation_preserves_traffic_counters(self):
         network = self._square()
         router = Router(network)
         router.transmission_time("S1", "S4", 8_000)
         hits, misses = router.hits, router.misses
-        router.invalidate(changed_links=(("S1", "S2"),), worsening=True)
+        router.invalidate()
         assert (router.hits, router.misses) == (hits, misses)
-
-    def test_scoped_invalidation_reports_sized_only_pairs(
-        self, pareto_triple
-    ):
-        # regression: a size-dependent pair's per-size optimum can be a
-        # third Pareto path crossing the worsened link while both
-        # classification paths avoid it -- the pair must appear in the
-        # returned set so consumers re-derive its cached per-size
-        # prices instead of restoring the stale (too optimistic) ones
-        router = Router(pareto_triple)
-        router.compile_all_pairs()
-        before = router.transmission_time("A", "B", 5e6)
-        assert before == pytest.approx(6.5)  # via z
-        pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
-        affected = router.invalidate(
-            changed_links=(("A", "z"),), worsening=True
-        )
-        # both classification paths (via x, via y) avoid A-z, yet the
-        # pair is reported because its sized-cache entry was dropped
-        assert ("A", "B") in affected
-        assert router.last_invalidation["sized_pairs_dropped"] == 1
-        # the classification entry itself stood (it was never stale)
-        route = router.cached_route("A", "B")
-        assert route is not None and not route.size_independent
-        # the re-derived per-size price equals a fresh router's exactly
-        fresh = Router(pareto_triple)
-        after = router.transmission_time("A", "B", 5e6)
-        assert after == fresh.transmission_time("A", "B", 5e6)
-        assert after == pytest.approx(10.01)  # re-routed via y
-
-    def test_scoped_invalidation_off_path_sized_entries_survive(
-        self, pareto_triple
-    ):
-        # the complement: worsening a link that no cached sized path
-        # crosses reports nothing extra and keeps the sized cache warm
-        router = Router(pareto_triple)
-        router.compile_all_pairs()
-        router.transmission_time("A", "B", 5e6)  # sized entry via z
-        pareto_triple.replace_link(Link("A", "y", 1e8, 6.0))
-        affected = router.invalidate(
-            changed_links=(("A", "y"),), worsening=True
-        )
-        assert router.last_invalidation["sized_pairs_dropped"] == 0
-        hits = router.hits
-        assert router.transmission_time("A", "B", 5e6) == pytest.approx(6.5)
-        assert router.hits == hits + 1  # served from the kept entry
 
 
 class TestBulkTransmissionTimes:

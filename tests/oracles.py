@@ -15,13 +15,13 @@ parity suites compare the production code against:
   sampler blocks, hill-climbing sweeps, fleet candidate sets) scored one
   row at a time through ``CompiledInstance.components``: the per-genome
   scalar loop the kernel replaced.
-* :func:`use_route_invalidation` -- the ``eager`` and ``lazy``
-  route-invalidation policies of
+* :func:`use_route_invalidation` -- the retired ``lazy``
+  route-invalidation policy of
   :class:`~repro.service.state.FleetState`, which production replaced
-  with link-scoped invalidation. The ``lazy`` policy carries the
-  retired per-pair route fill with it: :func:`lazy_router` classifies
-  one pair per cache miss with two targeted Dijkstra queries, and the
-  compiled route tables resolve each slot on first read.
+  with a whole-table recompile. It carries the retired per-pair route
+  fill with it: :func:`lazy_router` classifies one pair per cache miss
+  with two targeted Dijkstra queries, and the compiled route tables
+  resolve each slot on first read.
 * :func:`use_retired_rebalance` -- the fleet's greedy rebalance as it
   was before each round got one pricing and one scoring pass: every
   round re-prices every candidate through the full batch kernel and
@@ -44,10 +44,9 @@ from repro.algorithms.base import ProblemContext
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
 from repro.algorithms.runtime import CancelToken, SearchRuntime, SearchStep
 from repro.core.batch import BatchScores
-from repro.core.compiled import CompiledInstance
+from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.mapping import Deployment
 from repro.network import apsp
-from repro.service.state import load_penalty
 
 __all__ = [
     "FullEvaluationHillClimbing",
@@ -198,25 +197,6 @@ def scalar_pricing():
         yield
 
 
-def _invalidate_eager(
-    state,
-    changed_links=None,
-    worsening=False,
-    speed_changed=True,
-    propagation_changed=True,
-):
-    """``FleetState._invalidate_routes`` in the retired ``eager`` mode."""
-    state.epoch += 1
-    affected = state._router.invalidate(
-        changed_links=None,
-        worsening=worsening,
-        speed_changed=speed_changed,
-        propagation_changed=propagation_changed,
-    )
-    for model in state._cost_models.values():
-        model.compiled.refresh_routes(affected)
-
-
 def _shortest_path(graph, source, target, weight):
     """The retired ``apsp.shortest_path``: one targeted Dijkstra query."""
     dist, parent = apsp._dijkstra(graph, source, weight, target=target)
@@ -303,7 +283,7 @@ def _reset_routes(compiled):
         compiled.migration_table = compiled._compile_migration_table()
 
 
-def _invalidate_lazy(state, *_args, **_kwargs):
+def _invalidate_lazy(state):
     """``FleetState._invalidate_routes`` in the retired ``lazy`` mode."""
     state.epoch += 1
     router = lazy_router(state._router)
@@ -315,20 +295,13 @@ def _invalidate_lazy(state, *_args, **_kwargs):
         _reset_routes(model.compiled)
 
 
-_INVALIDATION_ORACLES = {"eager": _invalidate_eager, "lazy": _invalidate_lazy}
+def use_route_invalidation(controller):
+    """Switch *controller*'s fleet state to the retired ``lazy`` mode.
 
-
-def use_route_invalidation(controller, mode: str):
-    """Switch *controller*'s fleet state to a retired invalidation mode.
-
-    ``"scoped"`` leaves the production policy in place. Returns the
-    controller.
+    Returns the controller.
     """
-    if mode != "scoped":
-        state = controller.state
-        state._invalidate_routes = partial(
-            _INVALIDATION_ORACLES[mode], state
-        )
+    state = controller.state
+    state._invalidate_routes = partial(_invalidate_lazy, state)
     return controller
 
 
@@ -342,7 +315,7 @@ def retired_greedy_moves(
 
     Every round re-prices every candidate pair through the full
     batch kernel, then scores one candidate at a time: two dict
-    copies and one O(S) ``load_penalty`` call each.
+    copies and one O(S) ``penalty_statistic`` call each.
     """
     state = self.state
     network = state.network
@@ -357,7 +330,9 @@ def retired_greedy_moves(
     def objective(execs: dict[str, float], load_map: dict[str, float]) -> float:
         self.evaluations += 1
         execution = max(execs.values(), default=0.0)
-        penalty = load_penalty(list(load_map.values()), state.penalty_mode)
+        penalty = penalty_statistic(
+            list(load_map.values()), state.penalty_mode
+        )
         # the one fleet-level combine, shared with FleetState.snapshot
         return state.objective_value(execution, penalty)
 

@@ -268,8 +268,8 @@ class TestDiurnalScenario:
             if isinstance(event, LinkDegrade)
         ]
         assert degrades
-        # peak brownouts are strict worsenings (scoped invalidation);
-        # trough recoveries are improvements (full invalidation)
+        # peak brownouts are strict worsenings; trough recoveries are
+        # improvements
         assert any(event.speed_factor == 0.5 for event in degrades)
         assert any(event.speed_factor == 2.0 for event in degrades)
 
@@ -279,31 +279,29 @@ class TestDiurnalScenario:
         assert metrics.route_dijkstra_runs > 0
 
 
-def _replay_with_mode(name, mode, seed=0):
+def _replay_with_mode(name, lazy, seed=0):
     scenario = build_scenario(name, seed=seed)
     controller = FleetController(
         scenario.network, config=scenario.config, clock=StepClock()
     )
-    use_route_invalidation(controller, mode)
+    if lazy:
+        use_route_invalidation(controller)
     controller.run(scenario.events)
     return controller
 
 
 class TestInvalidationModes:
-    """Scoped invalidation decides like the frozen eager and lazy modes."""
+    """The whole-table recompile decides like the frozen lazy mode."""
 
     @pytest.mark.parametrize("name", ["abilene", "geo", "diurnal"])
     def test_modes_agree_byte_for_byte(self, name):
-        logs = {
-            mode: _replay_with_mode(name, mode).log.to_text()
-            for mode in ("scoped", "eager", "lazy")
-        }
-        assert logs["scoped"] == logs["eager"] == logs["lazy"]
+        production = _replay_with_mode(name, lazy=False).log.to_text()
+        assert production == _replay_with_mode(name, lazy=True).log.to_text()
 
     def test_scoped_runs_fewer_dijkstras_than_lazy(self):
-        scoped = _replay_with_mode("abilene", "scoped")
-        lazy = _replay_with_mode("abilene", "lazy")
+        production = _replay_with_mode("abilene", lazy=False)
+        lazy = _replay_with_mode("abilene", lazy=True)
         assert (
-            scoped.state.router_dijkstra_runs
+            production.state.router_dijkstra_runs
             < lazy.state.router_dijkstra_runs
         )

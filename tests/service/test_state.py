@@ -5,7 +5,7 @@ import pytest
 from repro.core.mapping import Deployment
 from repro.exceptions import ReproError, ServiceError
 from repro.network.topology import bus_network
-from repro.service.state import FleetState, jain_index, load_penalty
+from repro.service.state import FleetState, jain_index
 
 
 def place_round_robin(state, tenant, workflow):
@@ -40,14 +40,6 @@ class TestFairnessHelpers:
 
     def test_jain_index_idle_fleet_is_fair(self):
         assert jain_index({"a": 0.0, "b": 0.0}) == 1.0
-
-    def test_load_penalty_matches_cost_model_modes(self):
-        values = [1.0, 3.0]
-        assert load_penalty(values, "mad") == pytest.approx(1.0)
-        assert load_penalty(values, "sum_abs") == pytest.approx(2.0)
-        assert load_penalty(values, "max") == pytest.approx(1.0)
-        assert load_penalty(values, "std") == pytest.approx(1.0)
-        assert load_penalty([], "mad") == 0.0
 
 
 class TestTenantLifecycle:
