@@ -22,8 +22,12 @@ import json
 import os
 import pathlib
 
+#: True for a smoke run (``BENCH_SMOKE`` set and not ``0``): benches
+#: shrink their instances, and outputs go to ``output/smoke/``.
+SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-if os.environ.get("BENCH_SMOKE", "") not in ("", "0"):
+if SMOKE:
     OUTPUT_DIR = OUTPUT_DIR / "smoke"
 
 

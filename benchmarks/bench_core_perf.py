@@ -13,7 +13,6 @@ no-regression floor only on the full instance.
 """
 
 import math
-import os
 import random
 import time
 
@@ -33,9 +32,7 @@ from repro.workloads.generator import (
     random_graph_workflow,
 )
 
-from _common import emit
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit
 
 #: Reference instance for the compiled-vs-legacy comparison.
 REF_OPERATIONS = 6 if SMOKE else 20

@@ -11,7 +11,6 @@
 import pytest
 
 from repro.algorithms.branch_and_bound import BranchAndBound
-from repro.algorithms.exhaustive import Exhaustive
 from repro.algorithms.fair_load import FairLoad
 from repro.algorithms.genetic import GeneticAlgorithm
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs

@@ -27,7 +27,6 @@ same scenario (it is already small) -- the CI smoke step executes every
 path including the floor assertion.
 """
 
-import os
 import time
 from dataclasses import replace
 
@@ -36,9 +35,7 @@ from repro.core.migration import MigrationCostModel
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
-from _common import emit, perf_floor, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, perf_floor, write_json
 
 SCENARIO = "drift"
 SEED = 0

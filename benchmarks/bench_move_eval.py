@@ -20,7 +20,6 @@ Set ``BENCH_SMOKE=1`` to shrink the instance and repeat count for CI
 smoke runs; the speedup floor is only asserted on the full instance.
 """
 
-import os
 import random
 import time
 
@@ -37,9 +36,7 @@ from repro.workloads.generator import (
 )
 from tests.oracles import FullEvaluationHillClimbing
 
-from _common import emit, perf_floor, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, perf_floor, write_json
 
 #: Reference instance from the issue: 20 operations on 10 servers.
 NUM_OPERATIONS = 6 if SMOKE else 20

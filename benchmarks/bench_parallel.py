@@ -4,8 +4,9 @@ Two measurements on the 100-operation x 50-server reference instance
 (the parallel layer's reference size):
 
 * **Portfolio race** -- wall-clock and winner of the default portfolio
-  under a shared evaluation budget, serial (workers=1 inline) vs the
-  process pool.
+  under an evaluation budget split into per-racer shares, sequential
+  (inline) vs the process pool; both must agree on the winner and on
+  every racer's evaluations and stop reason.
 * **workers=1 byte-identity** -- the ``deploy_parallel(workers=1)``
   escape hatch produces the same deployment and report as the direct
   serial ``deploy_with_report`` call, for every wrapped algorithm
@@ -33,9 +34,7 @@ from repro.workloads.generator import (
     random_graph_workflow,
 )
 
-from _common import emit, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, write_json
 
 #: Reference instance: 100 operations on 50 servers.
 NUM_OPERATIONS = 12 if SMOKE else 100
@@ -66,7 +65,7 @@ def _flush_results() -> None:
 
 
 def bench_portfolio_race(benchmark, instance):
-    """Default-portfolio race under a shared evaluation budget."""
+    """Default-portfolio race under a per-racer evaluation budget."""
     workflow, network, model = instance
     budget = SearchBudget(max_evals=PORTFOLIO_EVALS)
 
@@ -83,13 +82,25 @@ def bench_portfolio_race(benchmark, instance):
         )
         return outcome, time.perf_counter() - start
 
+    def per_run(outcome):
+        return [
+            (
+                run.label,
+                None if run.report is None else run.report.evaluations,
+                None if run.report is None else run.report.stop_reason,
+            )
+            for run in outcome.parallel.runs
+        ]
+
     serial_outcome, serial_s = run(inline=True)
     parallel_outcome, parallel_s = run(inline=False)
-    # shared-budget racing is deterministic for eval-capped runs: the
-    # pool and the sequential execution elect the same winner
+    # eval-capped racing is deterministic: every racer spends exactly
+    # its budget share, so the pool and the sequential execution elect
+    # the same winner from the same per-racer runs
     assert (
         parallel_outcome.best.as_dict() == serial_outcome.best.as_dict()
     )
+    assert per_run(parallel_outcome) == per_run(serial_outcome)
     winner = serial_outcome.parallel.runs[serial_outcome.parallel.winner]
     _RESULTS["portfolio_evals"] = PORTFOLIO_EVALS
     _RESULTS["portfolio_serial_s"] = serial_s
@@ -100,7 +111,7 @@ def bench_portfolio_race(benchmark, instance):
     emit(
         "parallel_portfolio",
         f"portfolio of {len(serial_outcome.parallel.runs)} racers, "
-        f"{PORTFOLIO_EVALS} shared evaluations"
+        f"{PORTFOLIO_EVALS} evaluations in per-racer shares"
         + (" (smoke)" if SMOKE else ""),
         f"sequential (inline):  {serial_s * 1e3:10.1f} ms",
         f"{RACE_WORKERS}-worker pool:        {parallel_s * 1e3:10.1f} ms",

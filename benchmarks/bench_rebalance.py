@@ -23,7 +23,6 @@ full runs (hardware-dependent). Results land in
 path instead of the best of three.
 """
 
-import os
 import time
 
 from repro.core.batch import BatchEvaluator
@@ -32,9 +31,7 @@ from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 from tests.oracles import use_retired_rebalance
 
-from _common import emit, perf_floor, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, perf_floor, write_json
 
 SCENARIOS = ("surge", "geo")
 SEED = 3

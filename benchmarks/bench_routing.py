@@ -19,16 +19,13 @@ Results land in ``output/BENCH_routing.json``. ``BENCH_SMOKE=1`` runs
 on a smaller 20-server fleet and skips only the wall-clock floor.
 """
 
-import os
 import time
 
 from repro.network.routing import Router
 from repro.scenarios import random_geo_network
 from tests.oracles import lazy_router
 
-from _common import emit, perf_floor, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, perf_floor, write_json
 
 #: Compile arm: regions x servers-per-region of the geo fleet.
 REGIONS = 5

@@ -24,7 +24,6 @@ instance and skips the floor while keeping the parity checks).
 """
 
 import math
-import os
 import random
 import time
 
@@ -41,10 +40,8 @@ from repro.workloads.generator import (
 )
 from tests.oracles import FullEvaluationHillClimbing
 
-from _common import emit
+from _common import SMOKE, emit
 from _retired import IncrementalHillClimbing
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 #: Reference instance: 20 operations on 10 servers.
 NUM_OPERATIONS = 6 if SMOKE else 20

@@ -17,7 +17,6 @@ scenario and a reduced backlog -- every path still executes, no floors
 asserted.
 """
 
-import os
 import time
 
 from repro.core.clock import StepClock
@@ -28,9 +27,7 @@ from repro.service.queue import FleetService, WorkQueue
 from repro.service.scenarios import build_scenario
 from repro.workloads.generator import line_workflow
 
-from _common import emit, perf_floor, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, perf_floor, write_json
 
 SCENARIO = "steady" if SMOKE else "surge"
 SEED = 7

@@ -25,7 +25,6 @@ same scenario (it is already small) -- the CI smoke step executes every
 path including the floor assertion.
 """
 
-import os
 import time
 from dataclasses import replace
 
@@ -33,9 +32,7 @@ from repro.core.clock import StepClock
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
-from _common import emit, perf_floor, write_json
-
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from _common import SMOKE, emit, perf_floor, write_json
 
 SCENARIO = "abilene"
 SEED = 0

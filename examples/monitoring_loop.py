@@ -18,7 +18,6 @@ Run with::
 
 from repro import (
     CostModel,
-    Deployment,
     HeavyOpsLargeMsgs,
     NodeKind,
     WorkflowBuilder,

@@ -3,12 +3,14 @@
 A fan-out layer over the serial anytime
 :class:`~repro.algorithms.runtime.SearchRuntime`: race seeded restarts
 of one algorithm across worker processes, or race a portfolio of
-algorithms under one shared evaluation/deadline budget with cooperative
+algorithms under one evaluation/deadline budget with cooperative
 cancellation and a merged anytime report. Deterministic by construction
 -- worker RNG streams are pure functions of the root seed and each
-worker's structural position, and budget shares are pre-partitioned --
-so a fixed ``(seed, workers)`` pair reproduces the same winner. See
-DESIGN §11 for the protocol.
+worker's structural position, and every racer runs exactly its
+pre-partitioned budget share -- so a fixed ``(seed, workers)`` pair
+reproduces the same winner and the same per-racer reports for eval-
+and step-capped runs, in a process pool and inline alike. See DESIGN
+§11 for the protocol.
 """
 
 from repro.parallel.api import (
@@ -17,11 +19,8 @@ from repro.parallel.api import (
     race_portfolio,
 )
 from repro.parallel.budget import (
-    DEFAULT_FLUSH_EVERY,
     STOP_TARGET,
-    BudgetLedger,
-    InlineLedger,
-    SharedLedger,
+    StopSignal,
     WorkerBridge,
     slice_budget,
 )
@@ -48,12 +47,9 @@ __all__ = [
     "AlgorithmSpec",
     "DEFAULT_PORTFOLIO",
     "slice_budget",
-    "BudgetLedger",
-    "InlineLedger",
-    "SharedLedger",
+    "StopSignal",
     "WorkerBridge",
     "STOP_TARGET",
-    "DEFAULT_FLUSH_EVERY",
     "spawn_seed",
     "spawn_rng",
     "require_spawnable_seed",

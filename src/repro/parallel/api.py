@@ -3,15 +3,19 @@
 :func:`deploy_parallel`
     One algorithm, raced against itself as parallel seeded restarts.
 :func:`race_portfolio`
-    Many algorithms racing under one shared budget -- the portfolio
-    pattern: constructive seeds fanned into polishers, first target hit
-    or global budget exhaustion ends the race, best deployment wins.
+    Many algorithms racing under one budget -- the portfolio pattern:
+    constructive seeds fanned into polishers, each racer under its own
+    share, first target hit or every share spent ends the race, best
+    deployment wins.
 
 Both return a :class:`~repro.parallel.runtime.ParallelOutcome` and obey
 the determinism contract: a fixed ``(seed, workers)`` pair reproduces
-the same winner for eval-/step-capped and unbudgeted runs (wall-clock
-deadlines and target stops are inherently timing-dependent across
-processes; with an *inline* runtime even those are exact).
+the same winner, and the same per-racer evaluations and stop reasons,
+for eval-/step-capped and unbudgeted runs, in a process pool and
+inline alike -- every racer runs exactly its budget share, whatever
+the others do (wall-clock deadlines and target stops are inherently
+timing-dependent across processes; with an *inline* runtime even
+those are exact).
 ``workers=1`` is the serial escape hatch -- :func:`deploy_parallel`
 then makes the exact
 :meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy_with_report`
@@ -62,7 +66,7 @@ def _serial_outcome(
 ) -> ParallelOutcome:
     """The ``workers=1`` path: the exact serial call, wrapped.
 
-    No ledger, no bridge, no seed spawning -- byte-identity with
+    No stop signal, no bridge, no seed spawning -- byte-identity with
     :meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy_with_report`
     holds by construction, not by argument.
     """
@@ -192,7 +196,7 @@ def race_portfolio(
     inline: bool = False,
     clock: Clock | None = None,
 ) -> ParallelOutcome:
-    """Race a portfolio of algorithms under one shared budget.
+    """Race a portfolio of algorithms, each under its budget share.
 
     The line-up defaults to :data:`~repro.parallel.specs.
     DEFAULT_PORTFOLIO`. With more workers than entries the portfolio

@@ -5,14 +5,15 @@
 sequential *inline* mode for workers-in-this-process execution,
 deterministic tests and clock injection), ordered task fan-out with a
 parent-side watchdog loop that propagates external cancellation and the
-global deadline into the shared
-:class:`~repro.parallel.budget.BudgetLedger`, and result merging.
+global deadline into the race's
+:class:`~repro.parallel.budget.StopSignal`, and result merging.
 
 One sharding protocol runs on top of it (see DESIGN §11): :func:`race`
 fans independent full searches out -- parallel seeded restarts of one
 algorithm, or a portfolio of different algorithms -- each under a
-deterministic :func:`~repro.algorithms.runtime.slice_budget` share. The
-global best wins; ties break on the lowest worker index.
+deterministic :func:`~repro.algorithms.runtime.slice_budget` share that
+its own search runtime enforces, so each racer runs exactly its share.
+The global best wins; ties break on the lowest worker index.
 
 Everything returns a :class:`ParallelOutcome`: the winning deployment,
 its objective, a merged serial-shaped
@@ -42,13 +43,7 @@ from repro.algorithms.runtime import (
 )
 from repro.core.clock import MONOTONIC, Clock
 from repro.core.mapping import Deployment
-from repro.parallel.budget import (
-    DEFAULT_FLUSH_EVERY,
-    STOP_TARGET,
-    BudgetLedger,
-    InlineLedger,
-    SharedLedger,
-)
+from repro.parallel.budget import StopSignal
 from repro.parallel.specs import AlgorithmSpec
 from repro.parallel.worker import InstancePayload, SearchTask, run_search_task
 
@@ -60,6 +55,10 @@ __all__ = [
     "race",
     "merge_curves",
 ]
+
+
+#: Period, in seconds, of the parent's watchdog over a process pool.
+WATCHDOG_S = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -139,14 +138,11 @@ def merge_curves(
     return tuple(merged)
 
 
-def _merge_stop_reason(
-    ledger: BudgetLedger,
-    runs: Sequence[WorkerRun],
-) -> str:
-    """One stop reason for the merged report (deterministic for
-    deterministic runs: priority order, then worker order)."""
-    if ledger.stop_reason in (STOP_CANCELLED, STOP_TARGET, STOP_DEADLINE):
-        return ledger.stop_reason
+def _merge_stop_reason(stop: StopSignal, runs: Sequence[WorkerRun]) -> str:
+    """One stop reason for the merged report: the signal's reason if one
+    was set, else the first of the worker reasons in priority order."""
+    if stop.reason:
+        return stop.reason
     reasons = [
         run.report.stop_reason for run in runs if run.report is not None
     ]
@@ -163,22 +159,27 @@ def _merged_outcome(
     plan_label: str,
     workers: int,
     runs: Sequence[WorkerRun],
-    ledger: BudgetLedger,
+    stop: StopSignal,
     elapsed_s: float,
 ) -> ParallelOutcome:
-    """Reduce worker runs to the global best + merged report."""
+    """Reduce worker runs to the global best + merged report.
+
+    A racer without a report (a constructive algorithm) counts one
+    evaluation: the objective of its deployment.
+    """
     winner = min(range(len(runs)), key=lambda i: (runs[i].value, i))
     reports = [run.report for run in runs if run.report is not None]
     merged = SearchReport(
         steps=sum(r.steps for r in reports),
-        evaluations=max(
-            ledger.evaluations, sum(r.evaluations for r in reports)
+        evaluations=sum(
+            run.report.evaluations if run.report is not None else 1
+            for run in runs
         ),
         accepted=sum(r.accepted for r in reports),
         rejected=sum(r.rejected for r in reports),
         best_value=runs[winner].value,
         curve=merge_curves([r.curve for r in reports]),
-        stop_reason=_merge_stop_reason(ledger, runs),
+        stop_reason=_merge_stop_reason(stop, runs),
         elapsed_s=elapsed_s,
     )
     return ParallelOutcome(
@@ -208,22 +209,15 @@ class ParallelRuntime:
         restarts race. Must be >= 1.
     inline:
         When true, no processes are created: tasks run sequentially in
-        the parent, in task order, against an
-        :class:`~repro.parallel.budget.InlineLedger`. Semantically the
+        the parent, in task order, against a dict-backed
+        :class:`~repro.parallel.budget.StopSignal`. Semantically the
         same races (identical seeds, slices and merge), which makes it
         the vehicle for deterministic tests, injected clocks, and
         environments where multiprocessing is unavailable.
-    flush_every:
-        Evaluation-batch size of the workers' ledger flushes.
     clock:
         Parent-side clock for the global deadline watchdog and elapsed
         accounting; in inline mode it is also handed to each task's
         local :class:`~repro.algorithms.runtime.SearchRuntime`.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``,
-        ``"spawn"``, ``"forkserver"``); platform default when ``None``.
-    poll_s:
-        Watchdog period of the parent wait loop.
 
     Use as a context manager, or call :meth:`close` -- a runtime may
     serve many races.
@@ -233,20 +227,12 @@ class ParallelRuntime:
         self,
         workers: int,
         inline: bool = False,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
         clock: Clock | None = None,
-        start_method: str | None = None,
-        poll_s: float = 0.05,
     ):
         SearchBudget.validate_count("workers", workers)
         self.workers = workers
         self.inline = inline or workers == 1
-        self.flush_every = SearchBudget.validate_count(
-            "flush_every", flush_every
-        )
         self.clock = clock if clock is not None else MONOTONIC
-        self.start_method = start_method
-        self.poll_s = poll_s
         self._pool: ProcessPoolExecutor | None = None
         self._manager = None
 
@@ -268,75 +254,66 @@ class ParallelRuntime:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            import multiprocessing
-
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method is not None
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def make_ledger(self, max_evals: int | None = None) -> BudgetLedger:
-        """A fresh ledger of the right kind for this runtime."""
+    def _stop_signal(self) -> StopSignal:
+        """A fresh stop signal, shared with the workers in process mode."""
         if self.inline:
-            return InlineLedger(max_evals)
+            return StopSignal()
         if self._manager is None:
             import multiprocessing
 
             self._manager = multiprocessing.Manager()
-        return SharedLedger(self._manager, max_evals)
+        return StopSignal(self._manager.dict())
 
     # -- fan-out -------------------------------------------------------
     def execute(
         self,
         fn: Callable,
         tasks: Sequence[Any],
-        ledger: BudgetLedger,
+        stop: StopSignal,
         deadline_at: float | None = None,
         cancel: CancelToken | None = None,
     ) -> list[Any]:
-        """Run ``fn(task, ledger)`` for every task; results in task order.
+        """Run ``fn(task, stop)`` for every task; results in task order.
 
         Process mode submits everything and babysits the futures: every
-        ``poll_s`` the parent folds an external cancellation or the
-        global deadline into the ledger, which workers observe at their
-        next flush boundary. Inline mode runs tasks sequentially,
+        :data:`WATCHDOG_S` the parent folds an external cancellation or
+        the global deadline into the stop signal, which workers read at
+        their next poll. Inline mode runs tasks sequentially,
         re-checking the same conditions between tasks and shrinking
         each task's deadline share to the time actually remaining.
         """
         if self.inline:
-            return self._execute_inline(fn, tasks, ledger, deadline_at, cancel)
+            return self._execute_inline(fn, tasks, stop, deadline_at, cancel)
         pool = self._ensure_pool()
-        futures = [pool.submit(fn, task, ledger) for task in tasks]
+        futures = [pool.submit(fn, task, stop) for task in tasks]
         pending = set(futures)
         while pending:
             done, pending = wait(
-                pending, timeout=self.poll_s, return_when=FIRST_COMPLETED
+                pending, timeout=WATCHDOG_S, return_when=FIRST_COMPLETED
             )
-            self._watchdog(ledger, deadline_at, cancel)
+            self._watchdog(stop, deadline_at, cancel)
         return [future.result() for future in futures]
 
     def _watchdog(
         self,
-        ledger: BudgetLedger,
+        stop: StopSignal,
         deadline_at: float | None,
         cancel: CancelToken | None,
     ) -> None:
         if cancel is not None and cancel.cancelled:
-            ledger.request_stop(STOP_CANCELLED)
+            stop.request(STOP_CANCELLED)
         if deadline_at is not None and self.clock() >= deadline_at:
-            ledger.request_stop(STOP_DEADLINE)
+            stop.request(STOP_DEADLINE)
 
     def _execute_inline(
-        self, fn, tasks, ledger, deadline_at, cancel
+        self, fn, tasks, stop, deadline_at, cancel
     ) -> list[Any]:
         results = []
         for task in tasks:
-            self._watchdog(ledger, deadline_at, cancel)
+            self._watchdog(stop, deadline_at, cancel)
             budget = task.budget
             if (
                 budget is not None
@@ -347,7 +324,7 @@ class ParallelRuntime:
                 # deadline is whatever wall clock is actually left
                 remaining = deadline_at - self.clock()
                 if remaining <= 0:
-                    ledger.request_stop(STOP_DEADLINE)
+                    stop.request(STOP_DEADLINE)
                     remaining = None
                 task = dataclasses.replace(
                     task,
@@ -355,7 +332,7 @@ class ParallelRuntime:
                         budget, deadline_s=remaining
                     ),
                 )
-            results.append(fn(task, ledger, self.clock))
+            results.append(fn(task, stop, self.clock))
         return results
 
 
@@ -379,7 +356,7 @@ def race(
     :func:`~repro.algorithms.runtime.slice_budget` share.
     """
     start = runtime.clock()
-    ledger = runtime.make_ledger(budget.max_evals if budget else None)
+    stop = runtime._stop_signal()
     deadline_at = (
         start + budget.deadline_s
         if budget is not None and budget.deadline_s is not None
@@ -394,12 +371,11 @@ def race(
             seed=seed,
             budget=slice_budget(budget, len(racers), index),
             target_value=target_value,
-            flush_every=runtime.flush_every,
         )
         for index, (label, algorithm, seed) in enumerate(racers)
     ]
     results = runtime.execute(
-        run_search_task, tasks, ledger, deadline_at, cancel
+        run_search_task, tasks, stop, deadline_at, cancel
     )
     runs = [
         WorkerRun(
@@ -415,6 +391,6 @@ def race(
         plan_label,
         runtime.workers,
         runs,
-        ledger,
+        stop,
         runtime.clock() - start,
     )

@@ -11,8 +11,9 @@ What crosses the process boundary is deliberately small and dumb:
 
 Every entry point is a module-level function (picklable by qualified
 name under any ``multiprocessing`` start method) taking ``(task,
-ledger)`` and returning a plain picklable result object. Budget
-accounting and cooperative cancellation run through the
+stop)`` and returning a plain picklable result object. Each task's
+budget share is enforced by its own search runtime; target stops and
+cooperative cancellation run through the
 :class:`~repro.parallel.budget.WorkerBridge`.
 """
 
@@ -36,12 +37,7 @@ from repro.io.json_codec import (
     workflow_to_dict,
 )
 from repro.network.topology import ServerNetwork
-from repro.parallel.budget import (
-    DEFAULT_FLUSH_EVERY,
-    STOP_TARGET,
-    BudgetLedger,
-    WorkerBridge,
-)
+from repro.parallel.budget import STOP_TARGET, StopSignal, WorkerBridge
 from repro.parallel.specs import AlgorithmSpec
 
 __all__ = [
@@ -139,22 +135,6 @@ def materialize(
     return workflow, network, model
 
 
-def _bridged_cancel(
-    ledger: BudgetLedger,
-    flush_every: int,
-    target_value: float | None,
-) -> tuple[CancelToken, WorkerBridge]:
-    """A cancel token pre-tripped if the run is already stopping, plus
-    its ledger bridge."""
-    cancel = CancelToken()
-    if ledger.stop_requested:
-        cancel.cancel(ledger.stop_reason)
-    bridge = WorkerBridge(
-        ledger, cancel, flush_every=flush_every, target_value=target_value
-    )
-    return cancel, bridge
-
-
 # ----------------------------------------------------------------------
 # whole-search tasks (restarts / portfolio racing)
 # ----------------------------------------------------------------------
@@ -177,7 +157,6 @@ class SearchTask:
     seed: Any
     budget: SearchBudget | None = None
     target_value: float | None = None
-    flush_every: int = DEFAULT_FLUSH_EVERY
 
 
 @dataclass(frozen=True)
@@ -193,43 +172,36 @@ class SearchResult:
 
 def run_search_task(
     task: SearchTask,
-    ledger: BudgetLedger,
+    stop: StopSignal,
     clock: Clock | None = None,
 ) -> SearchResult:
-    """Run one algorithm under the shared ledger; always returns a
-    valid deployment (the anytime contract survives pre-cancellation:
-    the first step's starting state is still produced)."""
+    """Run one algorithm under its budget share and the race's stop
+    signal; always returns a valid deployment (the anytime contract
+    survives pre-cancellation: the first step's starting state is still
+    produced)."""
     workflow, network, model = materialize(task.payload)
     algorithm = (
         task.algorithm.build()
         if isinstance(task.algorithm, AlgorithmSpec)
         else task.algorithm
     )
-    cancel, bridge = _bridged_cancel(
-        ledger, task.flush_every, task.target_value
+    cancel = CancelToken()
+    if stop.reason:
+        cancel.cancel(stop.reason)
+    deployment, report = algorithm.deploy_with_report(
+        workflow,
+        network,
+        cost_model=model,
+        rng=coerce_rng(task.seed),
+        budget=task.budget,
+        cancel=cancel,
+        clock=clock,
+        on_progress=WorkerBridge(stop, cancel, task.target_value),
     )
-    try:
-        deployment, report = algorithm.deploy_with_report(
-            workflow,
-            network,
-            cost_model=model,
-            rng=coerce_rng(task.seed),
-            budget=task.budget,
-            cancel=cancel,
-            clock=clock,
-            on_progress=bridge,
-        )
-    finally:
-        # flush even when the search raises: the ledger must account
-        # for the evaluations a crashed worker already spent
-        bridge.finish()
-    if report is not None:
-        bridge.finish(report.evaluations)
     value = model.objective(deployment)
-    ledger.record(0 if report is not None else 1)
     if task.target_value is not None and value <= task.target_value:
         # greedy algorithms never fire on_progress; check their result
-        ledger.request_stop(STOP_TARGET)
+        stop.request(STOP_TARGET)
     return SearchResult(
         index=task.index,
         label=task.label,

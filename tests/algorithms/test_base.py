@@ -6,7 +6,6 @@ import pytest
 
 from repro.algorithms.base import (
     DeploymentAlgorithm,
-    ProblemContext,
     algorithm_registry,
     get_algorithm,
     register_algorithm,

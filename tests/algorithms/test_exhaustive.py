@@ -6,7 +6,6 @@ import pytest
 
 from repro.algorithms.exhaustive import Exhaustive
 from repro.core.cost import CostModel
-from repro.core.mapping import Deployment
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import AlgorithmError, SearchSpaceTooLargeError
 from repro.network.topology import bus_network

@@ -1,7 +1,5 @@
 """Unit tests for Heavy Operations -- Large Messages (HOLM)."""
 
-import pytest
-
 from repro.algorithms.fair_load import FairLoad
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.core.cost import CostModel

@@ -6,7 +6,7 @@ from repro.algorithms.line_line import LineLine
 from repro.core.cost import CostModel
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import AlgorithmError, UnsupportedTopologyError
-from repro.network.topology import bus_network, line_network
+from repro.network.topology import line_network
 
 
 def uniform_line_workflow(num_ops, cycles=10e6, sizes=None):

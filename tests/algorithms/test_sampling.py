@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms.exhaustive import Exhaustive
 from repro.algorithms.sampling import RandomMapping, SolutionSampler
-from repro.core.cost import CostBreakdown, CostModel
+from repro.core.cost import CostBreakdown
 from repro.exceptions import AlgorithmError
 
 

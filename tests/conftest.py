@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.builder import WorkflowBuilder
 from repro.core.cost import CostModel
-from repro.core.workflow import Message, NodeKind, Operation, Workflow
+from repro.core.workflow import NodeKind, Operation, Workflow
 from repro.network.topology import (
     Server,
     ServerNetwork,

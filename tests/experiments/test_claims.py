@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.claims import (
     Claim,
-    ClaimReport,
     PAPER_CLAIMS,
     verify_claims,
 )

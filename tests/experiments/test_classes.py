@@ -1,7 +1,5 @@
 """Unit tests for the Class A/B/C experiment definitions."""
 
-import pytest
-
 from repro.experiments.classes import (
     FIG6_BUS_SPEEDS,
     class_a_configs,

@@ -1,10 +1,7 @@
 """Unit tests for incremental deployment adaptation."""
 
-import pytest
-
 from repro.algorithms.fair_load import FairLoad
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
-from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
 from repro.core.workflow import Operation
 from repro.experiments.incremental import adaptation_report, patch_deployment

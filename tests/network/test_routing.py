@@ -9,7 +9,6 @@ from repro.network.topology import (
     Link,
     Server,
     ServerNetwork,
-    bus_network,
     line_network,
 )
 

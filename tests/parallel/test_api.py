@@ -1,9 +1,9 @@
 """End-to-end contracts of ``deploy_parallel`` / ``race_portfolio``.
 
-Everything except one process-pool parity check runs in *inline* mode:
-the same task protocol and shared-ledger accounting, executed
+Everything except the process-pool parity checks runs in *inline*
+mode: the same task protocol, budget shares and stop signal, executed
 sequentially in this process -- deterministic, fast, and exactly what
-the pool executes (the parity test pins that equivalence).
+the pool executes (the parity tests pin that equivalence).
 """
 
 from __future__ import annotations
@@ -29,8 +29,13 @@ from repro.parallel import (
     AlgorithmSpec,
     deploy_parallel,
     race_portfolio,
+    slice_budget,
 )
-from repro.parallel.budget import DEFAULT_FLUSH_EVERY
+from repro.workloads.generator import (
+    GraphStructure,
+    random_bus_network,
+    random_graph_workflow,
+)
 
 
 @pytest.fixture
@@ -126,7 +131,11 @@ class TestBudgetEnforcement:
     def test_eval_cap_never_overshoots_by_more_than_a_batch_per_worker(
         self, line5, bus5, model
     ):
-        workers, max_evals = 2, 300
+        # each racer's own runtime enforces its slice and checks it after
+        # every step, so a racer stops within one search step of its
+        # share; a simulated-annealing step costs one evaluation
+        workers, step_evals = 2, 1
+        budget = SearchBudget(max_evals=300)
         outcome = deploy_parallel(
             "SimulatedAnnealing",
             line5,
@@ -134,13 +143,16 @@ class TestBudgetEnforcement:
             cost_model=model,
             workers=workers,
             seed=1,
-            budget=SearchBudget(max_evals=max_evals),
+            budget=budget,
             inline=True,
         )
         assert outcome.report.stop_reason == STOP_MAX_EVALS
+        for index, run in enumerate(outcome.parallel.runs):
+            share = slice_budget(budget, workers, index).max_evals
+            assert run.report.evaluations < share + step_evals
         assert (
             outcome.report.evaluations
-            <= max_evals + workers * DEFAULT_FLUSH_EVERY
+            < budget.max_evals + workers * step_evals
         )
 
     def test_deadline_stops_workers_on_injected_clock(
@@ -304,4 +316,56 @@ class TestProcessPoolParity:
         pool_outcome = run(False)
         assert pool_outcome.best.as_dict() == inline_outcome.best.as_dict()
         assert pool_outcome.best_value == inline_outcome.best_value
+        assert _strip(pool_outcome.report) == _strip(inline_outcome.report)
+
+
+def _per_run(outcome):
+    """(label, evaluations, stop reason) of every racer, in line-up order."""
+    return [
+        (run.label, run.report.evaluations, run.report.stop_reason)
+        for run in outcome.parallel.runs
+    ]
+
+
+class TestRacerShares:
+    """Every racer of an eval-capped race spends exactly its own share.
+
+    On this instance hill climbing's last 180-evaluation step overshoots
+    its 600-evaluation share; that must not cut simulated annealing's
+    share short, in the pool or inline.
+    """
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        workflow = random_graph_workflow(20, GraphStructure.HYBRID, seed=1)
+        network = random_bus_network(10, seed=1)
+        model = CostModel(workflow, network)
+
+        def run(inline):
+            return race_portfolio(
+                workflow,
+                network,
+                portfolio=["HillClimbing", "SimulatedAnnealing"],
+                cost_model=model,
+                workers=2,
+                seed=5,
+                budget=SearchBudget(max_evals=1200),
+                inline=inline,
+            )
+
+        return run(True), run(False)
+
+    def test_annealing_runs_its_full_share(self, outcomes):
+        for outcome in outcomes:
+            runs = {run.label: run for run in outcome.parallel.runs}
+            report = runs["SimulatedAnnealing"].report
+            assert report.evaluations == 600
+            assert report.stop_reason == STOP_MAX_EVALS
+
+    def test_pool_matches_inline_per_run(self, outcomes):
+        inline_outcome, pool_outcome = outcomes
+        assert pool_outcome.parallel.winner == inline_outcome.parallel.winner
+        assert pool_outcome.best.as_dict() == inline_outcome.best.as_dict()
+        assert pool_outcome.best_value == inline_outcome.best_value
+        assert _per_run(pool_outcome) == _per_run(inline_outcome)
         assert _strip(pool_outcome.report) == _strip(inline_outcome.report)

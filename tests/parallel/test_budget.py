@@ -1,19 +1,22 @@
-"""Budget slicing, shared-ledger accounting and the overshoot bound."""
+"""Budget slicing, the race's stop signal and the worker bridge."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
 from repro.algorithms.runtime import (
     STOP_CANCELLED,
-    STOP_MAX_EVALS,
+    STOP_DEADLINE,
     CancelToken,
     SearchBudget,
     SearchProgress,
 )
 from repro.parallel.budget import (
+    POLL_EVERY,
     STOP_TARGET,
-    InlineLedger,
+    StopSignal,
     WorkerBridge,
     slice_budget,
 )
@@ -72,103 +75,50 @@ class TestSliceBudget:
         assert slice_budget(budget, 8, 5) == slice_budget(budget, 8, 5)
 
 
-class TestInlineLedger:
-    def test_accumulates_and_trips_cap(self):
-        ledger = InlineLedger(max_evals=10)
-        ledger.record(6)
-        assert ledger.evaluations == 6
-        assert not ledger.stop_requested
-        ledger.record(4)
-        assert ledger.stop_requested
-        assert ledger.stop_reason == STOP_MAX_EVALS
-
-    def test_zero_and_negative_deltas_ignored(self):
-        ledger = InlineLedger(max_evals=5)
-        ledger.record(0)
-        ledger.record(-3)
-        assert ledger.evaluations == 0
-
+class TestStopSignal:
     def test_first_stop_reason_sticks(self):
-        ledger = InlineLedger()
-        ledger.request_stop(STOP_CANCELLED)
-        ledger.request_stop(STOP_TARGET)
-        assert ledger.stop_reason == STOP_CANCELLED
+        stop = StopSignal()
+        assert stop.reason == ""
+        stop.request(STOP_CANCELLED)
+        stop.request(STOP_TARGET)
+        assert stop.reason == STOP_CANCELLED
 
-    def test_uncapped_ledger_never_trips_on_record(self):
-        ledger = InlineLedger()
-        ledger.record(10_000)
-        assert not ledger.stop_requested
+    def test_first_reason_wins_through_a_manager_proxy(self):
+        with multiprocessing.Manager() as manager:
+            state = manager.dict()
+            stop = StopSignal(state)
+            assert stop.reason == ""
+            stop.request(STOP_DEADLINE)
+            StopSignal(state).request(STOP_TARGET)
+            assert stop.reason == STOP_DEADLINE
 
 
 class TestWorkerBridge:
-    def test_flushes_in_batches(self):
-        ledger = InlineLedger()
-        bridge = WorkerBridge(ledger, CancelToken(), flush_every=10)
-        bridge(_progress(9))
-        assert ledger.evaluations == 0
-        bridge(_progress(10))
-        assert ledger.evaluations == 10
-        bridge(_progress(19))
-        assert ledger.evaluations == 10
-        bridge.finish(19)
-        assert ledger.evaluations == 19
-
-    def test_overshoot_bounded_by_one_batch_per_worker(self):
-        """The satellite's accounting bound, as a pure unit test.
-
-        Two workers share a 100-eval cap with flush_every=16. Each
-        worker runs until its local cancel token trips; the global
-        count must never exceed max_evals + workers * flush_every.
-        """
-        workers, flush_every, max_evals = 2, 16, 100
-        ledger = InlineLedger(max_evals=max_evals)
-        totals = []
-        for _ in range(workers):
-            cancel = CancelToken()
-            bridge = WorkerBridge(ledger, cancel, flush_every=flush_every)
-            evaluations = 0
-            while not cancel.cancelled and evaluations < 10_000:
-                evaluations += 1
-                bridge(_progress(evaluations))
-            bridge.finish(evaluations)
-            totals.append(evaluations)
-        assert ledger.stop_reason == STOP_MAX_EVALS
-        assert ledger.evaluations == sum(totals)
-        assert ledger.evaluations <= max_evals + workers * flush_every
-
-    def test_target_stop_trips_ledger_and_cancel(self):
-        ledger = InlineLedger()
+    def test_target_stop_trips_signal_and_cancel(self):
+        stop = StopSignal()
         cancel = CancelToken()
-        bridge = WorkerBridge(
-            ledger, cancel, flush_every=1000, target_value=5.0
-        )
+        bridge = WorkerBridge(stop, cancel, target_value=5.0)
         bridge(_progress(3, best_value=7.0))
-        assert not ledger.stop_requested
+        assert stop.reason == ""
         bridge(_progress(4, best_value=5.0))
-        assert ledger.stop_reason == STOP_TARGET
+        assert stop.reason == STOP_TARGET
         assert cancel.cancelled
         assert cancel.reason == STOP_TARGET
 
     def test_shared_stop_propagates_into_cancel_token(self):
-        ledger = InlineLedger()
+        stop = StopSignal()
         cancel = CancelToken()
-        bridge = WorkerBridge(ledger, cancel, flush_every=5)
-        ledger.request_stop(STOP_CANCELLED)
-        bridge(_progress(5))
+        bridge = WorkerBridge(stop, cancel)
+        stop.request(STOP_CANCELLED)
+        bridge(_progress(POLL_EVERY - 1))
+        assert not cancel.cancelled  # read only once per POLL_EVERY
+        bridge(_progress(POLL_EVERY))
         assert cancel.cancelled
         assert cancel.reason == STOP_CANCELLED
 
     def test_chain_callback_still_invoked(self):
         seen = []
-        bridge = WorkerBridge(
-            InlineLedger(), CancelToken(), flush_every=5, chain=seen.append
-        )
+        bridge = WorkerBridge(StopSignal(), CancelToken(), chain=seen.append)
         progress = _progress(1)
         bridge(progress)
         assert seen == [progress]
-
-    def test_flush_every_validated(self):
-        from repro.exceptions import AlgorithmError
-
-        with pytest.raises(AlgorithmError):
-            WorkerBridge(InlineLedger(), CancelToken(), flush_every=0)

@@ -44,15 +44,6 @@ class TestParallelRuntime:
         with pytest.raises(Exception):
             ParallelRuntime(0)
 
-    def test_inline_ledger_for_inline_mode(self):
-        from repro.parallel.budget import InlineLedger
-
-        runtime = ParallelRuntime(2, inline=True)
-        try:
-            assert isinstance(runtime.make_ledger(), InlineLedger)
-        finally:
-            runtime.close()
-
     def test_close_is_idempotent(self):
         runtime = ParallelRuntime(2, inline=True)
         runtime.close()

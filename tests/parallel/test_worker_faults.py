@@ -1,21 +1,17 @@
-"""Fault injection: crashed workers must still account their spend.
+"""Fault injection: a worker that crashes mid-search.
 
-Satellite regression: a worker that raised mid-search used to leave its
-un-flushed evaluation delta off the shared ledger, so the global budget
-accounting under-counted after every crash. The worker entry points now
-flush in ``finally`` blocks and the bridge tracks the last progress
-callback, so the ledger ends correct to the flush granularity even when
-the search dies.
+A racer's exception must reach the caller unchanged, and the race's
+stop signal must be left as it was: a crash is not a stop reason.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.runtime import CancelToken, SearchProgress
+from repro.algorithms.runtime import SearchProgress
 from repro.core.cost import CostModel
 from repro.network.topology import bus_network
-from repro.parallel.budget import InlineLedger, WorkerBridge
+from repro.parallel.budget import StopSignal
 from repro.parallel.worker import (
     SearchTask,
     payload_from,
@@ -55,70 +51,16 @@ class _CrashingAlgorithm:
 
 
 class TestSearchTaskCrash:
-    def test_crash_still_flushes_seen_evaluations(self, payload):
-        """121 evaluations reported, flush_every=50: without the
-        ``finally`` flush the ledger would stop at 100."""
-        ledger = InlineLedger()
+    @pytest.mark.parametrize("evaluations", [0, 300])
+    def test_crash_propagates_to_the_caller(self, payload, evaluations):
+        stop = StopSignal()
         task = SearchTask(
             index=0,
             label="crash",
             payload=payload,
-            algorithm=_CrashingAlgorithm(121),
+            algorithm=_CrashingAlgorithm(evaluations),
             seed=0,
-            flush_every=50,
         )
         with pytest.raises(RuntimeError, match="crashed"):
-            run_search_task(task, ledger)
-        assert ledger.evaluations == 121
-
-    def test_crash_before_any_progress_flushes_nothing(self, payload):
-        ledger = InlineLedger()
-        task = SearchTask(
-            index=0,
-            label="crash",
-            payload=payload,
-            algorithm=_CrashingAlgorithm(0),
-            seed=0,
-        )
-        with pytest.raises(RuntimeError):
-            run_search_task(task, ledger)
-        assert ledger.evaluations == 0
-
-
-class TestBridgeExceptionAccounting:
-    def test_finish_without_total_flushes_last_seen(self):
-        ledger = InlineLedger()
-        bridge = WorkerBridge(ledger, CancelToken(), flush_every=100)
-        bridge(
-            SearchProgress(
-                steps=42, evaluations=42, best_value=None, elapsed_s=0.0
-            )
-        )
-        assert ledger.evaluations == 0  # below the flush threshold
-        bridge.finish()
-        assert ledger.evaluations == 42
-
-    def test_finish_is_idempotent(self):
-        ledger = InlineLedger()
-        bridge = WorkerBridge(ledger, CancelToken(), flush_every=10)
-        bridge(
-            SearchProgress(
-                steps=7, evaluations=7, best_value=None, elapsed_s=0.0
-            )
-        )
-        bridge.finish()
-        bridge.finish()
-        bridge.finish(7)
-        assert ledger.evaluations == 7
-
-    def test_finish_total_never_undercounts_seen(self):
-        """finish(total) with a stale total keeps the larger seen count."""
-        ledger = InlineLedger()
-        bridge = WorkerBridge(ledger, CancelToken(), flush_every=100)
-        bridge(
-            SearchProgress(
-                steps=50, evaluations=50, best_value=None, elapsed_s=0.0
-            )
-        )
-        bridge.finish(30)
-        assert ledger.evaluations == 50
+            run_search_task(task, stop)
+        assert stop.reason == ""

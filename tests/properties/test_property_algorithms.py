@@ -1,7 +1,5 @@
 """Property-based tests: algorithm contracts over random instances."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

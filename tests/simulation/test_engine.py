@@ -9,9 +9,7 @@ import pytest
 
 from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
-from repro.core.workflow import Operation, Workflow
 from repro.exceptions import SimulationError
-from repro.network.topology import bus_network
 from repro.simulation.engine import SimulationEngine
 
 MS = 1e-3

@@ -7,7 +7,6 @@
 import importlib.util
 import inspect
 import pkgutil
-import sys
 from pathlib import Path
 
 import pytest
